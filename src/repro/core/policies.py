@@ -203,7 +203,10 @@ class SelectionPolicy(Policy):
 class AvailabilityAwareSelection(SelectionPolicy):
     """Route participation through the FL selector's over-provisioning
     policy, restricted to the clients the availability trace reports up
-    at the round's arrival instant (the pre-registry selector path)."""
+    at the round's arrival instant (the pre-registry selector path).  The
+    filter is one vectorized query of the trace's compiled index, not one
+    :meth:`~repro.traces.models.AvailabilityTrace.is_available` call per
+    client."""
 
     def select(self, ctx: SelectionContext, rng: np.random.Generator) -> list[str]:
         if ctx.selector is None or ctx.availability is None or not ctx.clients:
@@ -211,10 +214,8 @@ class AvailabilityAwareSelection(SelectionPolicy):
                 "availability-aware selection needs selector, clients, "
                 "and an availability trace"
             )
-        avail = ctx.availability
-        picked = ctx.selector.select_available(
-            ctx.clients, rng, lambda cid: avail.is_available(cid, ctx.at)
-        )
+        up = set(ctx.availability.available(ctx.at))
+        picked = ctx.selector.select_available(ctx.clients, rng, up.__contains__)
         return [c.client_id for c in picked]
 
 

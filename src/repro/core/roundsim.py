@@ -85,6 +85,7 @@ class TenantRound:
     updates: list[SimUpdate]
     plan: HierarchyPlan
     nbytes: float
+    #: CPU ledgers of the nodes this round touches, in fleet order
     nodes: dict[str, WorkerNode]
     instances: dict[str, "object"]  # agg_id -> AggregatorInstance
     ingress_procs: dict[int, Process]
@@ -103,7 +104,7 @@ class TenantRound:
     dropped_uids: set[int] = field(default_factory=set)
 
 
-@dataclass
+@dataclass(frozen=True, slots=True)
 class _CostTable:
     """Latency/CPU constants materialized for one update size."""
 
@@ -150,14 +151,24 @@ class RoundEngine:
         self.lifecycle = resolve_lifecycle(config)
         #: back-compat alias: the warm pool now lives on the lifecycle stage
         self.warm = self.lifecycle.warm
+        #: fleet position of each node: an install builds ledgers and
+        #: ingress resources for the nodes it touches, in this order
+        self._fleet_rank = {name: i for i, name in enumerate(self.node_names)}
+        self._cost_tables: dict[float, _CostTable] = {}
 
     # ------------------------------------------------------------------ costs
     def _costs_for(self, nbytes: float) -> _CostTable:
+        """The stage costs for one model size, built on first use and then
+        reused: they are pure functions of the frozen config, the
+        calibration and ``nbytes``."""
+        table = self._cost_tables.get(nbytes)
+        if table is not None:
+            return table
         cal = self.cal
         cfg = self.config
         ing = self.ingress.costs(cfg, cal, nbytes)
         xfer = self.transfer.costs(cfg, cal, nbytes)
-        return _CostTable(
+        table = self._cost_tables[nbytes] = _CostTable(
             ingress_latency=ing.ingress_latency,
             ingress_cpu=ing.ingress_cpu,
             recv_client_latency=ing.recv_latency,
@@ -171,6 +182,7 @@ class RoundEngine:
             inter_rx_latency=xfer.inter_rx_latency,
             inter_rx_cpu=xfer.inter_rx_cpu,
         )
+        return table
 
     # ------------------------------------------------------------------- round
     def run_round(
@@ -387,17 +399,18 @@ class RoundEngine:
                 )
 
         timeline = EventLog()
+        touched = self._touched_nodes(updates, plan, local_nodes, remote_inputs)
         nodes = {name: WorkerNode(env, NodeSpec(
             name=name,
             cores=self.node_spec.cores,
             memory_bytes=self.node_spec.memory_bytes,
             nic_bps=self.node_spec.nic_bps,
             max_service_capacity=self.node_spec.max_service_capacity,
-        )) for name in self.node_names}
+        )) for name in touched}
 
         # -- ingress resources ---------------------------------------------
         ingress_res: dict[str, Resource] = self.ingress.build_resources(
-            env, cfg, self.cal, self.node_names, updates, nbytes,
+            env, cfg, self.cal, touched, updates, nbytes,
             arrival_span=arrival_span,
         )
 
@@ -479,6 +492,14 @@ class RoundEngine:
         def _create(inst: AggregatorInstance) -> None:
             self.lifecycle.ensure_created(inst, env, cfg, finished_on_node, admission)
 
+        agg_costs = AggregatorCosts(
+            recv_client_latency=costs.recv_client_latency,
+            recv_client_cpu=costs.recv_client_cpu,
+            agg_latency=costs.agg_latency,
+            agg_cpu=costs.agg_cpu,
+            startup_latency=cfg.cold_start_latency,
+            startup_cpu=cfg.cold_start_cpu,
+        )
         for agg_id, spec in plan.aggregators.items():
             if local_nodes is not None and spec.node not in local_nodes:
                 continue
@@ -500,14 +521,7 @@ class RoundEngine:
                 node=spec.node,
                 role=spec.role.value,
                 fan_in=spec.fan_in,
-                costs=AggregatorCosts(
-                    recv_client_latency=costs.recv_client_latency,
-                    recv_client_cpu=costs.recv_client_cpu,
-                    agg_latency=costs.agg_latency,
-                    agg_cpu=costs.agg_cpu,
-                    startup_latency=cfg.cold_start_latency,
-                    startup_cpu=cfg.cold_start_cpu,
-                ),
+                costs=agg_costs,
                 eager=cfg.eager,
                 charge_cpu=nodes[spec.node].cpu.charge,
                 on_output=on_output,
@@ -643,6 +657,32 @@ class RoundEngine:
             create=_create,
         )
         return tenant
+
+    def _touched_nodes(
+        self,
+        updates: list[SimUpdate],
+        plan: HierarchyPlan,
+        local_nodes: "frozenset[str] | set[str] | None",
+        remote_inputs: "Sequence[tuple[str, str, float, float]] | None",
+    ) -> list[str]:
+        """Every node one install can charge or admit on, in fleet order:
+        its (local) aggregators' nodes, the top node (chain overhead and
+        eval bill it even off-partition), the updates' nodes and the
+        remote-input sources.  Untouched nodes would only hold empty
+        ledgers, so skipping them leaves every fold over ``nodes``
+        unchanged."""
+        touched = {u.node for u in updates}
+        touched.add(plan.top.node)
+        for spec in plan.aggregators.values():
+            if local_nodes is None or spec.node in local_nodes:
+                touched.add(spec.node)
+        if remote_inputs:
+            touched.update(src for _, src, _, _ in remote_inputs)
+        rank = self._fleet_rank
+        unknown = touched - rank.keys()
+        if unknown:
+            raise ConfigError(f"round touches nodes outside the fleet: {sorted(unknown)}")
+        return sorted(touched, key=rank.__getitem__)
 
     # ------------------------------------------------------------- bookkeeping
     def _finalize(self, tenant: TenantRound, include_eval: bool) -> None:

@@ -95,6 +95,8 @@ class IngressStage:
     def costs(
         self, cfg: PlatformConfig, cal: DataplaneCalibration, nbytes: float
     ) -> IngressCosts:
+        """Per-update costs; must be a pure function of its arguments (the
+        engine computes them once per model size and reuses them)."""
         raise NotImplementedError
 
     def build_resources(
@@ -108,6 +110,9 @@ class IngressStage:
         arrival_span: float | None = None,
     ) -> dict[str, Resource]:
         """Admission resources, keyed by node (entries may be shared).
+
+        ``node_names`` are the nodes the round touches, in fleet order —
+        not necessarily the whole fleet.
 
         ``arrival_span`` overrides the load-window the stage would compute
         from ``updates`` — a partitioned round hands each cohort the *full*
@@ -350,6 +355,8 @@ class TransferStage:
     def costs(
         self, cfg: PlatformConfig, cal: DataplaneCalibration, nbytes: float
     ) -> TransferCosts:
+        """Per-hop costs; must be a pure function of its arguments (the
+        engine computes them once per model size and reuses them)."""
         raise NotImplementedError
 
 

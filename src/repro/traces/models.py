@@ -276,7 +276,7 @@ class AvailabilityTrace:
     horizon: float
     windows: dict[str, tuple[tuple[float, float], ...]] = field(default_factory=dict)
     #: lazily compiled CSR flat index over all windows (sorted-id order):
-    #: (ids, win_start, win_end, row_index, fingerprint)
+    #: (ids, win_start, win_end, row_index, (source dict, its client count))
     _compiled: tuple | None = field(default=None, repr=False, compare=False)
 
     @property
@@ -295,11 +295,15 @@ class AvailabilityTrace:
         """Flatten the per-id window dict into parallel numpy arrays, in
         sorted-id order, so availability queries become one vectorized
         interval test instead of a Python loop per client.  Recompiled
-        when the dict's shape changes (cheap fingerprint; traces are
-        effectively immutable after construction)."""
-        fingerprint = (len(self.windows), sum(len(w) for w in self.windows.values()))
-        if self._compiled is not None and self._compiled[4] == fingerprint:
-            return self._compiled
+        when ``windows`` is replaced or gains or loses clients; the check
+        is O(1).  Traces are effectively immutable after construction, so
+        an in-place edit of one client's windows is not tracked."""
+        windows = self.windows
+        compiled = self._compiled
+        if compiled is not None:
+            built_from, built_len = compiled[4]
+            if built_from is windows and built_len == len(windows):
+                return compiled
         ids = self.client_ids
         counts = np.array([len(self.windows[cid]) for cid in ids], dtype=np.int64)
         flat = [span for cid in ids for span in self.windows[cid]]
@@ -309,7 +313,7 @@ class AvailabilityTrace:
         else:
             starts = ends = np.empty(0)
         rows = np.repeat(np.arange(len(ids), dtype=np.int64), counts)
-        self._compiled = (ids, starts, ends, rows, fingerprint)
+        self._compiled = (ids, starts, ends, rows, (windows, len(windows)))
         return self._compiled
 
     def available_mask(self, at: float) -> "np.ndarray":
@@ -323,13 +327,10 @@ class AvailabilityTrace:
 
     def available(self, at: float) -> list[str]:
         """Client ids available at time ``at``, in sorted-id order (the
-        deterministic sampling base).  Large populations take the compiled
-        vectorized path; the output is identical either way."""
-        if len(self.windows) >= 512:
-            ids, *_ = self._compile()
-            mask = self.available_mask(at)
-            return [ids[int(i)] for i in np.flatnonzero(mask)]
-        return [cid for cid in self.client_ids if self.is_available(cid, at)]
+        deterministic sampling base): one vectorized test against the
+        compiled index, matching :meth:`is_available` client by client."""
+        ids = self._compile()[0]
+        return [ids[i] for i in np.flatnonzero(self.available_mask(at)).tolist()]
 
     def availability_fraction(self, at: float) -> float:
         """Fraction of the population available at ``at`` (0 when empty)."""

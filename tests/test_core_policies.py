@@ -14,6 +14,7 @@ from repro.core.policies import (
     AdmissionContext,
     Policy,
     PolicyRegistry,
+    SelectionContext,
     SelectionPolicy,
     policy,
     resolve_policy,
@@ -134,6 +135,20 @@ def test_population_selection_without_population_raises():
 def test_availability_aware_selection_without_selector_raises():
     with pytest.raises(ConfigError, match="availability-aware"):
         _replay(ReplayConfig(selection_policy="availability-aware"))
+
+
+def test_availability_aware_selection_matches_is_available_reference():
+    inputs = _mobile_inputs()
+    avail, selector = inputs["availability"], inputs["selector"]
+    policy = POLICIES.create("selection", "availability-aware")
+    for at in (0.0, 17.5, 42.0, 59.9):
+        ctx = SelectionContext(at=at, tenant=0, round_id=0, round_updates=4, **inputs)
+        ref = selector.select_available(
+            inputs["clients"], np.random.default_rng(5),
+            lambda cid: avail.is_available(cid, at),
+        )
+        got = policy.select(ctx, np.random.default_rng(5))
+        assert got == [c.client_id for c in ref]
 
 
 def test_unknown_admission_knob_raises():

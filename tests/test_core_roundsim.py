@@ -10,6 +10,7 @@ from repro.core.platform import AggregationPlatform, PlatformConfig
 from repro.core.roundsim import RoundEngine
 from repro.core.updates import SimUpdate
 from repro.controlplane.hierarchy import plan_hierarchy
+from repro.sim.engine import Environment
 from repro.workloads.arrival import concurrent_arrivals, staggered_arrivals
 
 
@@ -155,3 +156,106 @@ def test_weights_flow_into_result():
     plan = plan_hierarchy({"node0": 4})
     result = engine.run_round(ups, plan, include_eval=False)
     assert result.updates_aggregated == 4
+
+
+# ------------------------------------------------------ touched-node install
+FLEET_500 = [f"node{i:03d}" for i in range(500)]
+FLEET_8 = ["node000", "node001", "node007", "node050", "node100", "node200", "node300", "node499"]
+
+
+def _two_node_round():
+    """8 updates on node300 and node007 (alternating, so neither comes
+    first in fleet order by accident); the tree's top lands on node300."""
+    ups = [
+        SimUpdate(i, RESNET18_BYTES, 1.0, 0.1 * i, "node300" if i % 2 else "node007",
+                  client_id=f"u{i}")
+        for i in range(8)
+    ]
+    return ups, plan_hierarchy({"node300": 4, "node007": 4}, updates_per_leaf=2)
+
+
+def _spy_ingress(engine, monkeypatch) -> list[list[str]]:
+    """Record the node keys of every ingress-resource map the engine builds."""
+    built: list[list[str]] = []
+    build = engine.ingress.build_resources
+
+    def spy(*args, **kwargs):
+        res = build(*args, **kwargs)
+        built.append(list(res))
+        return res
+
+    monkeypatch.setattr(engine.ingress, "build_resources", spy)
+    return built
+
+
+def test_install_builds_ledgers_and_ingress_only_for_touched_nodes(monkeypatch):
+    engine = RoundEngine(PlatformConfig.lifl(), FLEET_500)
+    built = _spy_ingress(engine, monkeypatch)
+    ups, plan = _two_node_round()
+    env = Environment()
+    tenant = engine.install_round(env, engine.build_fabric(env), ups, plan)
+    assert list(tenant.nodes) == ["node007", "node300"]
+    assert built == [["node007", "node300"]]
+
+
+@pytest.mark.parametrize("cfg", [PlatformConfig.lifl(), PlatformConfig.sl_h()],
+                         ids=["LIFL", "SL-H"])
+def test_round_on_large_fleet_equals_round_on_small_fleet(cfg):
+    ups, plan = _two_node_round()
+    big = RoundEngine(cfg, FLEET_500).run_round(ups, plan)
+    small = RoundEngine(cfg, FLEET_8).run_round(ups, plan)
+    assert big == small
+    # CPU components fold in the same (fleet) order
+    assert list(big.cpu_by_component) == list(small.cpu_by_component)
+
+
+def test_partitioned_root_install_includes_remote_source_nodes(monkeypatch):
+    engine = RoundEngine(PlatformConfig.lifl(), FLEET_500)
+    built = _spy_ingress(engine, monkeypatch)
+    plan = plan_hierarchy(
+        {"node450": 2, "node300": 2, "node100": 2, "node007": 2},
+        updates_per_leaf=2, top_node="node300",
+    )
+    root_updates = [SimUpdate(i, RESNET18_BYTES, 1.0, 0.0, "node300") for i in range(2)]
+    # node100 has plan aggregators but, off-partition and silent here, no
+    # charge can reach it; the two remote sources must get ledgers.
+    remote = [
+        ("r0/leaf0@node450", "node450", 2.0, 0.5),
+        ("r0/leaf0@node007", "node007", 2.0, 0.7),
+    ]
+    env = Environment()
+    tenant = engine._install(
+        env, engine.build_fabric(env), root_updates, plan, record_timeline=False,
+        local_nodes=frozenset({"node300"}), remote_inputs=remote,
+    )
+    assert list(tenant.nodes) == ["node007", "node300", "node450"]
+    assert built == [["node007", "node300", "node450"]]
+    assert set(tenant.instances) == {
+        spec.agg_id for spec in plan.aggregators.values() if spec.node == "node300"
+    }
+
+
+def test_install_rejects_nodes_outside_the_fleet():
+    engine = RoundEngine(PlatformConfig.lifl(), ["node0"])
+    ups = make_updates([0.0, 0.0], node="node9")
+    env = Environment()
+    with pytest.raises(ConfigError, match="outside the fleet"):
+        engine.install_round(
+            env, engine.build_fabric(env), ups, plan_hierarchy({"node9": 2})
+        )
+
+
+def test_cost_table_is_built_once_per_model_size(monkeypatch):
+    engine = RoundEngine(PlatformConfig.lifl(), ["node0"])
+    calls = []
+    costs = engine.transfer.costs
+
+    def counting(cfg, cal, nbytes):
+        calls.append(nbytes)
+        return costs(cfg, cal, nbytes)
+
+    monkeypatch.setattr(engine.transfer, "costs", counting)
+    for nbytes in (RESNET18_BYTES, RESNET152_BYTES, RESNET18_BYTES):
+        ups = make_updates([0.0, 0.5], nbytes=nbytes)
+        engine.run_round(ups, plan_hierarchy({"node0": 2}), include_eval=False)
+    assert calls == [RESNET18_BYTES, RESNET152_BYTES]

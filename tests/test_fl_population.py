@@ -188,14 +188,24 @@ def test_advance_refreshes_state_arrays() -> None:
 
 
 def test_availability_trace_vectorized_available_matches_loop() -> None:
-    # >=512 clients takes the compiled fast path inside available()
-    trace = availability_trace(600, horizon=250.0, seed=8)
-    for at in (0.0, 60.0, 249.9, 400.0):
-        fast = trace.available(at)
-        slow = [cid for cid in trace.client_ids if trace.is_available(cid, at)]
-        assert fast == slow
-        mask = trace.available_mask(at)
-        assert [trace.client_ids[int(i)] for i in np.flatnonzero(mask)] == slow
+    for n_clients in (50, 600):
+        trace = availability_trace(n_clients, horizon=250.0, seed=8)
+        for at in (0.0, 60.0, 249.9, 400.0):
+            fast = trace.available(at)
+            slow = [cid for cid in trace.client_ids if trace.is_available(cid, at)]
+            assert fast == slow
+            mask = trace.available_mask(at)
+            assert [trace.client_ids[int(i)] for i in np.flatnonzero(mask)] == slow
+
+
+def test_availability_trace_index_tracks_added_clients() -> None:
+    trace = availability_trace(50, horizon=250.0, seed=8)
+    before = trace.available(60.0)
+    trace.windows["zz-late"] = ((0.0, 250.0),)
+    assert trace.available(60.0) == before + ["zz-late"]
+    trace.windows = {"solo": ((50.0, 70.0),)}
+    assert trace.available(60.0) == ["solo"]
+    assert trace.available(80.0) == []
 
 
 def test_generate_rejects_bad_inputs() -> None:
