@@ -34,26 +34,27 @@ duration-dependent reservations match the unpartitioned accounting.
 
 ``shards=1`` bypasses the protocol entirely — it is literally the
 sequential engine, so it is byte-identical to an unpartitioned run (the
-golden tests pin this).  Fork machinery mirrors
-:class:`~repro.traces.shard.ShardedReplayEngine`: fork start method,
-recv-before-join pipes, inline fallback where fork is unavailable, and
-per-shard CPU self-timing for the critical-path report.
+golden tests pin this).  Cohorts fan out through
+:func:`~repro.common.fanout.fan_out`, the fork/merge primitive
+:class:`~repro.traces.shard.ShardedReplayEngine` uses too: forked
+workers, recv-before-join pipes, inline fallback where fork is
+unavailable, and results in cohort order; each cohort self-times its CPU
+for the critical-path report.
 """
 
 from __future__ import annotations
 
-import multiprocessing
 import time
-import traceback
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Sequence
 
 from repro.common.errors import ConfigError
+from repro.common.fanout import fan_out
 from repro.controlplane.hierarchy import HierarchyPlan
 from repro.core.results import RoundResult
 from repro.core.stages import GatewayIngress
 from repro.core.updates import SimUpdate
-from repro.perf.counters import COUNTER_FIELDS, collect, maybe_register
+from repro.perf.counters import CounterCarrier, collect, maybe_register
 from repro.sim.engine import Environment
 
 if TYPE_CHECKING:  # import-light, mirroring traces/shard.py
@@ -172,19 +173,6 @@ class CohortReport:
 
 
 @dataclass
-class _CohortRun:
-    """Transport record: one shard's complete per-round output."""
-
-    shard: int
-    nodes: tuple[str, ...]
-    #: per round: (boundary emissions, the phase's partial RoundResult)
-    rounds: list[tuple[list[Emission], RoundResult]]
-    counters: dict[str, int]
-    wall_seconds: float = 0.0
-    cpu_seconds: float = 0.0
-
-
-@dataclass
 class PartitionedRunResult:
     """A partitioned run's merged results plus the cohort breakdown."""
 
@@ -203,17 +191,6 @@ class PartitionedRunResult:
         wall-clock floor a host with one free core per cohort reaches."""
         worst = max((rep.cpu_seconds for rep in self.cohorts), default=0.0)
         return worst + self.root_cpu_seconds
-
-
-class _CounterCarrier:
-    """Duck-typed Environment for the perf collector (exposes the
-    COUNTER_FIELDS attributes) — credits forked cohorts' engine work to an
-    active ``--profile`` collector, like traces/shard does."""
-
-    def __init__(self, label: str, counters: dict[str, int]) -> None:
-        self.perf_label = label
-        for name in COUNTER_FIELDS:
-            setattr(self, name, counters.get(name, 0))
 
 
 class PartitionedRoundEngine:
@@ -295,15 +272,17 @@ class PartitionedRoundEngine:
                     ],
                 )
             )
-        n_workers = min(cohorts.n_shards, self.workers or _available_cpus())
-        fork = not inline and n_workers > 1 and _fork_available()
-        if fork:
-            runs = self._run_forked(tasks, n_workers)
-            for rep in runs:
-                maybe_register(_CounterCarrier(f"cohort{rep.shard}", rep.counters))
-        else:
-            runs = [self._run_cohort(*task) for task in tasks]
-        runs.sort(key=lambda r: r.shard)
+        done, workers = fan_out(
+            lambda task: self._run_cohort(*task),
+            tasks,
+            self.workers,
+            inline,
+            what="partitioned round",
+        )
+        reports = [rep for rep, _ in done]
+        if workers > 1:
+            for rep in reports:
+                maybe_register(CounterCarrier(f"cohort{rep.shard}", rep.counters))
 
         # -- root phase: replay each round with every cohort's emissions --
         cpu0 = time.process_time()
@@ -312,8 +291,8 @@ class PartitionedRoundEngine:
         for r, ((updates, plan), span) in enumerate(zip(prepared, spans)):
             root_updates = [u for u in updates if u.node == root]
             remote: list[Emission] = []
-            for run in runs:
-                remote.extend(run.rounds[r][0])
+            for _, rounds in done:
+                remote.extend(rounds[r][0])
             remote.sort(key=lambda e: (e[3], e[0]))
             env = Environment()
             fabric = engine.build_fabric(env)
@@ -329,25 +308,15 @@ class PartitionedRoundEngine:
             )
             env.run(until=tenant.top_done)
             merged = engine.finish_round(tenant, include_eval)
-            self._merge_round(engine, merged, [run.rounds[r][1] for run in runs])
+            self._merge_round(engine, merged, [rounds[r][1] for _, rounds in done])
             results.append(merged)
         root_cpu = time.process_time() - cpu0
 
         return PartitionedRunResult(
             results=results,
-            cohorts=[
-                CohortReport(
-                    shard=run.shard,
-                    nodes=run.nodes,
-                    emissions=sum(len(ems) for ems, _ in run.rounds),
-                    counters=run.counters,
-                    wall_seconds=run.wall_seconds,
-                    cpu_seconds=run.cpu_seconds,
-                )
-                for run in runs
-            ],
-            forked=fork,
-            workers=n_workers if fork else 1,
+            cohorts=reports,
+            forked=workers > 1,
+            workers=workers,
             root_cpu_seconds=root_cpu,
         )
 
@@ -375,8 +344,10 @@ class PartitionedRoundEngine:
         shard_id: int,
         nodes: tuple[str, ...],
         rounds: list[tuple[list[SimUpdate], HierarchyPlan, float]],
-    ) -> _CohortRun:
-        """Simulate one cohort's node subset for every round, in-process.
+    ) -> tuple[CohortReport, list[tuple[list[Emission], RoundResult]]]:
+        """Simulate one cohort's node subset for every round, in-process;
+        return its report and, per round, its boundary emissions and
+        partial :class:`RoundResult`.
 
         The cohort's engine persists across rounds (warm-pool turnover);
         each round runs on a fresh environment whose clock starts at the
@@ -413,58 +384,15 @@ class PartitionedRoundEngine:
                 env.run(until=tenant.top_done)
                 partial = engine.finish_round(tenant, include_eval=False)
                 out.append((emissions, partial))
-        return _CohortRun(
+        report = CohortReport(
             shard=shard_id,
             nodes=nodes,
-            rounds=out,
+            emissions=sum(len(emissions) for emissions, _ in out),
             counters=perf.counters().as_dict(),
             wall_seconds=time.perf_counter() - wall0,
             cpu_seconds=time.process_time() - cpu0,
         )
-
-    def _run_forked(
-        self,
-        tasks: list[tuple[int, tuple[str, ...], list]],
-        n_workers: int,
-    ) -> list[_CohortRun]:
-        """Fan cohorts over forked workers (recv-before-join pipes, LPT
-        deal — the traces/shard machinery, one layer down)."""
-        ctx = multiprocessing.get_context("fork")
-        groups = [tasks[w::n_workers] for w in range(n_workers)]
-        procs = []
-        for w, group in enumerate(groups):
-            rx, tx = ctx.Pipe(duplex=False)
-            proc = ctx.Process(
-                target=self._worker_main, args=(group, tx), name=f"cohort-w{w}"
-            )
-            proc.start()
-            tx.close()
-            procs.append((group, proc, rx))
-        runs: list[_CohortRun] = []
-        failures: list[str] = []
-        for group, proc, rx in procs:
-            shard_ids = ",".join(str(i) for i, _, _ in group)
-            try:
-                status, payload = rx.recv()
-            except EOFError:
-                status, payload = "err", "worker died without reporting"
-            proc.join()
-            if status == "ok":
-                runs.extend(payload)
-            else:
-                failures.append(f"cohorts [{shard_ids}]: {payload}")
-        if failures:
-            raise RuntimeError("partitioned round failed: " + "; ".join(failures))
-        return runs
-
-    def _worker_main(self, group, conn) -> None:
-        try:
-            out = [self._run_cohort(*task) for task in group]
-            conn.send(("ok", out))
-        except BaseException:
-            conn.send(("err", traceback.format_exc()))
-        finally:
-            conn.close()
+        return report, out
 
     # ------------------------------------------------------------------ merge
     @staticmethod
@@ -513,17 +441,3 @@ class PartitionedRoundEngine:
         if cfg.static_leaf_nodes > 0 or cfg.fixed_instances > 0:
             raise ConfigError("cohort partitioning does not support static (SF) trees")
 
-
-def _fork_available() -> bool:
-    if "fork" not in multiprocessing.get_all_start_methods():
-        return False
-    return not multiprocessing.current_process().daemon
-
-
-def _available_cpus() -> int:
-    import os
-
-    try:
-        return len(os.sched_getaffinity(0)) or 1
-    except (AttributeError, OSError):
-        return os.cpu_count() or 1

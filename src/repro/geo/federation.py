@@ -28,10 +28,17 @@ them across **regions** — named cells from a
   end-to-end latency grows by propagation + transfer time.  Weight is
   conserved exactly through the boundary: the per-pair shipped weight
   equals the completed weight of the rounds that crossed it.
-* **exact merging** — per-region SLO accounting is rebuilt from the
-  WAN-adjusted round records (digest bucket addition is exact), per-cell
-  peaks sum, controller reports merge, telemetry streams come home
+* **exact merging** — the cells fold through the sharded engine's
+  :meth:`ReplayResult.merge <repro.traces.replay.ReplayResult.merge>`
+  (per-cell peaks sum, controller reports merge), the WAN shift applies
+  to the merged records, the SLO accounting is rebuilt from them
+  (digest bucket addition is exact), and telemetry streams come home
   region-stamped through :func:`~repro.telemetry.bus.merge_streams`.
+
+The geo engine owns no process pool: the region cells fan out through
+:func:`~repro.common.fanout.fan_out` and each replays through
+:func:`~repro.traces.shard.run_cell`, exactly like the sharded engine's
+shards — so geo is "shard by region, then a WAN phase".
 
 With one region there is nothing to couple: no WAN flows, no failover,
 and the single cell's :class:`~repro.traces.replay.ReplayResult` is
@@ -42,28 +49,25 @@ suite pins.
 
 from __future__ import annotations
 
-import multiprocessing
-import time
-import traceback
 from dataclasses import dataclass, replace
-from dataclasses import field as dataclass_field
+from functools import partial
 from typing import TYPE_CHECKING, Callable
 
 from repro.common.errors import ConfigError
+from repro.common.fanout import fan_out
 from repro.cluster.network import ProcessorSharingLink
 from repro.geo.topology import RegionTopology, validate_geo_faults
-from repro.perf.counters import collect, maybe_register
+from repro.perf.counters import CounterCarrier, maybe_register
 from repro.sim.engine import Environment, Process
 from repro.telemetry.bus import (
-    RecordingSubscriber,
     TelemetryBus,
     TelemetryRecord,
     ambient_bus,
     merge_streams,
 )
 from repro.traces.models import Trace, TraceEvent
-from repro.traces.replay import ReplayConfig, ReplayResult, TraceReplayEngine
-from repro.traces.shard import _available_cpus, _fork_available, _ShardCounters
+from repro.traces.replay import ReplayConfig, ReplayResult
+from repro.traces.shard import ShardReport, run_cell
 from repro.traces.slo import SloTracker
 
 if TYPE_CHECKING:  # import-light, mirroring shard.py
@@ -233,18 +237,12 @@ def placement_nodes(
 
 # ------------------------------------------------------------------ results
 @dataclass
-class RegionReport:
-    """One region cell's complete output (mirrors
-    :class:`~repro.traces.shard.ShardReport` with a name for a shard id)."""
+class RegionReport(ShardReport):
+    """One region cell's complete output: a
+    :class:`~repro.traces.shard.ShardReport` whose ``shard`` is the
+    region's index in the topology, plus the region's name."""
 
-    index: int
-    region: str
-    tenants: tuple[int, ...]
-    result: ReplayResult
-    counters: dict[str, int]
-    wall_seconds: float = 0.0
-    cpu_seconds: float = 0.0
-    telemetry: list[TelemetryRecord] = dataclass_field(default_factory=list)
+    region: str = ""
 
 
 @dataclass(frozen=True)
@@ -360,7 +358,6 @@ class GeoReplayEngine:
         self.wan_nbytes = wan_nbytes
         self.workers = workers
         self.telemetry = telemetry if telemetry is not None else ambient_bus()
-        self._stream_cells = False
         if fault_plan is not None:
             validate_geo_faults(fault_plan, topology)
 
@@ -374,21 +371,32 @@ class GeoReplayEngine:
         ``merged`` unchanged (byte-identical to the unsharded replay).
         """
         tel = self.telemetry.or_none() if self.telemetry is not None else None
-        self._stream_cells = tel is not None
         route = route_trace(self.trace, self.topology, self.homes, self.fault_plan)
         tasks = [
             (i, region, region_subtrace(self.trace, region, route.assignments[region]))
             for i, region in enumerate(self.topology.regions)
         ]
-        n_workers = min(len(tasks), self.workers or _available_cpus())
-        fork = not inline and n_workers > 1 and _fork_available()
-        if fork:
-            reports = self._run_forked(tasks, n_workers)
+
+        def replay(task: tuple[int, str, Trace]) -> RegionReport:
+            # No fault plan: geo's is region-scoped, and routing plus the
+            # WAN phase apply it.
+            index, region, sub = task
+            rep = run_cell(
+                self,
+                partial(self.platform_factory, region),
+                sub,
+                shard=index,
+                tenants=tuple(sorted({ev.tenant for ev in sub.events})),
+                stream=tel is not None,
+            )
+            return RegionReport(region=region, **vars(rep))
+
+        reports, workers = fan_out(
+            replay, tasks, self.workers, inline, what="geo replay"
+        )
+        if workers > 1:
             for rep in reports:
-                maybe_register(_ShardCounters(f"region:{rep.region}", rep.counters))
-        else:
-            reports = [self._run_region(i, region, sub) for i, region, sub in tasks]
-        reports.sort(key=lambda r: r.index)
+                maybe_register(CounterCarrier(f"region:{rep.region}", rep.counters))
         shipments = self._run_wan(reports, route)
         merged = self._merge(reports, shipments)
         self._publish_streams(tel, reports, route, shipments)
@@ -397,87 +405,9 @@ class GeoReplayEngine:
             regions=reports,
             route=route,
             shipments=shipments,
-            forked=fork,
-            workers=n_workers if fork else 1,
+            forked=workers > 1,
+            workers=workers,
         )
-
-    # ---------------------------------------------------------------- cells
-    def _run_region(self, index: int, region: str, sub: Trace) -> RegionReport:
-        """Replay one region cell in the current process (same discipline
-        as :meth:`ShardedReplayEngine._run_shard`: private bus, own
-        counters, own platform from the factory)."""
-        wall0 = time.perf_counter()
-        cpu0 = time.process_time()
-        cell_bus = TelemetryBus()
-        recorder = RecordingSubscriber(cell_bus) if self._stream_cells else None
-        with collect() as perf:
-            engine = TraceReplayEngine(
-                self.platform_factory(region),
-                sub,
-                self.config,
-                availability=self.availability,
-                weights=self.weights,
-                selector=self.selector,
-                clients=self.clients,
-                chaos=self.chaos,
-                seed=self.seed,
-                population=self.population,
-                controller=self.controller,
-                telemetry=cell_bus,
-            )
-            result = engine.run()
-        return RegionReport(
-            index=index,
-            region=region,
-            tenants=tuple(sorted({r.tenant for r in result.records})),
-            result=result,
-            counters=perf.counters().as_dict(),
-            wall_seconds=time.perf_counter() - wall0,
-            cpu_seconds=time.process_time() - cpu0,
-            telemetry=recorder.records if recorder is not None else [],
-        )
-
-    def _run_forked(
-        self, tasks: list[tuple[int, str, Trace]], n_workers: int
-    ) -> list[RegionReport]:
-        """One ShardedReplayEngine-style worker fleet, one region per
-        task: fork, deal round-robin, receive before join."""
-        ctx = multiprocessing.get_context("fork")
-        groups = [tasks[w::n_workers] for w in range(n_workers)]
-        procs = []
-        for w, group in enumerate(groups):
-            rx, tx = ctx.Pipe(duplex=False)
-            proc = ctx.Process(
-                target=self._worker_main, args=(group, tx), name=f"geo-region-w{w}"
-            )
-            proc.start()
-            tx.close()
-            procs.append((group, proc, rx))
-        reports: list[RegionReport] = []
-        failures: list[str] = []
-        for group, proc, rx in procs:
-            names = ",".join(region for _, region, _ in group)
-            try:
-                status, payload = rx.recv()
-            except EOFError:
-                status, payload = "err", "worker died without reporting"
-            proc.join()
-            if status == "ok":
-                reports.extend(payload)
-            else:
-                failures.append(f"regions [{names}]: {payload}")
-        if failures:
-            raise RuntimeError("geo replay failed: " + "; ".join(failures))
-        return reports
-
-    def _worker_main(self, group, conn) -> None:
-        try:
-            out = [self._run_region(i, region, sub) for i, region, sub in group]
-            conn.send(("ok", out))
-        except BaseException:
-            conn.send(("err", traceback.format_exc()))
-        finally:
-            conn.close()
 
     # ------------------------------------------------------------------ WAN
     def _run_wan(
@@ -564,51 +494,32 @@ class GeoReplayEngine:
         :class:`~repro.traces.replay.ReplayResult`.
 
         One region short-circuits to the cell's own result (byte-identity
-        with the unsharded replay).  Otherwise every cross-region
-        completed round's ``complete_at`` grows by its shipment's
-        propagation + transfer time, and the merged SLO tracker is
-        rebuilt from the adjusted records — digest addition is exact, so
-        the totals equal a tracker that had observed the adjusted rounds
-        live.
+        with the unsharded replay).  Otherwise the cells fold through
+        :meth:`ReplayResult.merge`, every cross-region completed round's
+        ``complete_at`` grows by its shipment's propagation + transfer
+        time, and the merged SLO tracker is rebuilt from the adjusted
+        records — digest addition is exact, so the totals equal a tracker
+        that had observed the adjusted rounds live.
         """
         if len(reports) == 1:
             return reports[0].result
         cfg = self.config
         extra = {(s.tenant, s.round_id): s.wan_extra_s for s in shipments}
-        records = []
-        tracker = SloTracker(
+        merged = ReplayResult.merge(
+            [rep.result for rep in reports],
+            self.trace.horizon,
             cfg.slo_target_s,
-            controller=any(rep.result.slo.controller for rep in reports),
+            cfg.track_cost,
         )
-        merged = ReplayResult(
-            records=records,
-            slo=tracker,
-            horizon=self.trace.horizon,
-            track_cost=cfg.track_cost,
-        )
-        peak_per_tenant: dict[int, int] = {}
-        for rep in reports:
-            res = rep.result
-            for rec in res.records:
-                wan_extra = extra.get((rec.tenant, rec.round_id))
-                if wan_extra:
-                    rec = replace(rec, complete_at=rec.complete_at + wan_extra)
-                records.append(rec)
-            merged.peak_inflight += res.peak_inflight
-            merged.chaos_waves += res.chaos_waves
-            merged.clients_dropped += res.clients_dropped
-            merged.cost_cpu_s += res.cost_cpu_s
-            for tenant, peak in res.peak_inflight_per_tenant.items():
-                if peak > peak_per_tenant.get(tenant, -1):
-                    peak_per_tenant[tenant] = peak
-            if res.controller is not None:
-                if merged.controller is None:
-                    from repro.controlplane.reactive import ControllerReport
-
-                    merged.controller = ControllerReport()
-                merged.controller.merge(res.controller)
-        records.sort(key=lambda r: (r.arrival_at, r.tenant, r.round_id))
-        for rec in records:
+        tracker = SloTracker(cfg.slo_target_s, controller=merged.slo.controller)
+        # The merge orders records by arrival, so shifting completions
+        # afterwards keeps that order; the cells' own records stay as-is.
+        for i, rec in enumerate(merged.records):
+            wan_extra = extra.get((rec.tenant, rec.round_id))
+            if wan_extra:
+                rec = merged.records[i] = replace(
+                    rec, complete_at=rec.complete_at + wan_extra
+                )
             if rec.rejected:
                 tracker.reject(at=rec.arrival_at)
             elif rec.shed:
@@ -623,7 +534,7 @@ class GeoReplayEngine:
                 raise ConfigError(
                     f"round t{rec.tenant}r{rec.round_id} has no terminal outcome"
                 )
-        merged.peak_inflight_per_tenant = dict(sorted(peak_per_tenant.items()))
+        merged.slo = tracker
         return merged
 
     # ------------------------------------------------------------ telemetry

@@ -26,6 +26,7 @@ import sys
 import time
 from datetime import datetime, timezone
 
+from repro.common.fanout import available_cpus
 from repro.perf.counters import EngineCounters, collect
 from repro.sim.engine import Environment
 
@@ -228,9 +229,8 @@ def run_macro_trace_diurnal_sharded(repeat: int = 3, shards: int = 4) -> dict:
     ``host_cpus`` records which regime the measurement ran in.
     """
     from repro.experiments.trace_scenarios import _diurnal_replay
-    from repro.traces.shard import _available_cpus
 
-    out: dict[str, dict] = {"host_cpus": _available_cpus(), "shards": shards}
+    out: dict[str, dict] = {"host_cpus": available_cpus(), "shards": shards}
     for system in ("LIFL", "SL-H"):
         best_seq = None
         for _ in range(repeat):
@@ -293,7 +293,7 @@ def run_macro_stress100k(repeat: int = 3, shards: int = 4) -> dict:
     records which regime the measurement ran in.
     """
     from repro.common.units import RESNET18_BYTES
-    from repro.core.partition import PartitionedRoundEngine, _available_cpus
+    from repro.core.partition import PartitionedRoundEngine
     from repro.core.platform import AggregationPlatform, PlatformConfig
     from repro.experiments.stress100k import SCALES, build_population, round_arrivals
 
@@ -308,7 +308,7 @@ def run_macro_stress100k(repeat: int = 3, shards: int = 4) -> dict:
     population = build_population(scale)
     rounds = [round_arrivals(population, scale, r) for r in range(2)]
     out: dict = {
-        "host_cpus": _available_cpus(),
+        "host_cpus": available_cpus(),
         "shards": shards,
         "clients": population.size,
         "participants": participants,
@@ -369,9 +369,8 @@ def run_macro_geo_followsun(repeat: int = 3) -> dict:
     degraded to inline (single-CPU hosts).
     """
     from repro.experiments.geo_scenarios import run_followsun_cell
-    from repro.traces.shard import _available_cpus
 
-    out: dict = {"host_cpus": _available_cpus(), "regions": 3}
+    out: dict = {"host_cpus": available_cpus(), "regions": 3}
     for system in ("LIFL",):
         best = None
         counters = EngineCounters()

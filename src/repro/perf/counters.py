@@ -119,6 +119,18 @@ class PerfCollector:
         return out
 
 
+class CounterCarrier:
+    """Counters shipped home from a forked worker, duck-typed as an
+    Environment for the collector (it exposes the :data:`COUNTER_FIELDS`
+    attributes and a ``perf_label``), so ``--profile`` campaigns see the
+    engine work of forked shards, cohorts and regions."""
+
+    def __init__(self, label: str, counters: dict[str, int]) -> None:
+        self.perf_label = label
+        for name in COUNTER_FIELDS:
+            setattr(self, name, counters.get(name, 0))
+
+
 def snapshot(env: Any) -> dict[str, int]:
     """One environment's counter attributes as a flat dict — the payload
     of the telemetry bus's ``perf-snapshot`` record."""

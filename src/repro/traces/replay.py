@@ -224,6 +224,49 @@ class ReplayResult:
     cost_cpu_s: float = 0.0
     track_cost: bool = False
 
+    @classmethod
+    def merge(
+        cls,
+        parts: "list[ReplayResult]",
+        horizon: float,
+        slo_target_s: float,
+        track_cost: bool,
+    ) -> "ReplayResult":
+        """Fold independent cells' results into one.
+
+        SLO digests and tallies merge exactly; records re-interleave into
+        the dispatch order (arrival time, tenant, round id) one engine
+        emits; per-cell peak in-flight counts *sum* (cells peak
+        independently — the sum bounds the fleet's concurrent rounds),
+        per-tenant peaks take the max, and controller reports merge.
+        """
+        merged = cls(
+            records=[],
+            slo=SloTracker(slo_target_s),
+            horizon=horizon,
+            track_cost=track_cost,
+        )
+        peak_per_tenant: dict[int, int] = {}
+        for res in parts:
+            merged.slo.merge(res.slo)
+            merged.records.extend(res.records)
+            merged.peak_inflight += res.peak_inflight
+            merged.chaos_waves += res.chaos_waves
+            merged.clients_dropped += res.clients_dropped
+            merged.cost_cpu_s += res.cost_cpu_s
+            for tenant, peak in res.peak_inflight_per_tenant.items():
+                if peak > peak_per_tenant.get(tenant, -1):
+                    peak_per_tenant[tenant] = peak
+            if res.controller is not None:
+                if merged.controller is None:
+                    from repro.controlplane.reactive import ControllerReport
+
+                    merged.controller = ControllerReport()
+                merged.controller.merge(res.controller)
+        merged.records.sort(key=lambda r: (r.arrival_at, r.tenant, r.round_id))
+        merged.peak_inflight_per_tenant = dict(sorted(peak_per_tenant.items()))
+        return merged
+
     @property
     def rounds_overlapped(self) -> bool:
         return self.peak_inflight > 1

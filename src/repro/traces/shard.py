@@ -20,21 +20,27 @@ pool — then folds the per-shard results into one report:
   every seeded draw (participants, chaos victims) keys off
   ``(seed, tenant, round_id)`` — so a shard replays its tenants exactly
   as the unsharded engine would have drawn them.
-* **fork-based execution** — shards run on forked worker processes, the
-  same machinery ``CampaignRunner --jobs`` uses.  The worker count
+* **fork-based execution** — shards run on forked worker processes
+  through :func:`~repro.common.fanout.fan_out`, the one fork/merge
+  primitive the partitioned and geo engines share.  The worker count
   defaults to ``min(shards, available CPUs)`` — a worker granted several
   shards runs them sequentially, so a single-CPU host degrades to the
   inline path instead of paying fork-and-timeslice overhead for nothing.
   Where fork is unavailable (or the caller is already a daemonic pool
   worker, which cannot fork children), shards likewise run inline; every
-  execution mode produces byte-identical merged results, which the
-  golden-determinism tests pin.
-* **exact merging** — per-shard :class:`~repro.traces.slo.SloTracker`
-  digests merge by bucket addition (exact, see
-  :meth:`LatencyDigest.merge <repro.traces.slo.LatencyDigest.merge>`),
-  outcome tallies sum, round records interleave back into arrival order,
-  and engine counters (:mod:`repro.perf`) are reported per shard and
-  merged.
+  execution mode returns the shards in shard order and produces
+  byte-identical merged results, which the golden-determinism tests pin.
+* **exact merging** — :meth:`ReplayResult.merge
+  <repro.traces.replay.ReplayResult.merge>` folds the shards: per-shard
+  :class:`~repro.traces.slo.SloTracker` digests merge by bucket addition
+  (exact, see :meth:`LatencyDigest.merge
+  <repro.traces.slo.LatencyDigest.merge>`), outcome tallies sum, round
+  records interleave back into arrival order, and engine counters
+  (:mod:`repro.perf`) are reported per shard and merged.
+
+Each shard is one serving cell replayed by :func:`run_cell`, which the
+geo federation (:mod:`repro.geo.federation`) reuses for its region
+cells.
 
 The semantic difference from the unsharded replay is placement, not
 randomness: each shard's tenants contend only with each other on their
@@ -45,20 +51,18 @@ single-shard run is byte-identical to ``TraceReplayEngine.run()``.
 
 from __future__ import annotations
 
-import multiprocessing
-import os
 import time
-import traceback
 from dataclasses import dataclass
 from dataclasses import field as dataclass_field
 from typing import TYPE_CHECKING, Callable
 
 from repro.common.errors import ConfigError
+from repro.common.fanout import fan_out
 from repro.core.partition import CohortPlan, plan_cohorts  # noqa: F401 - re-export:
 # plan_shards splits *tenants* across serving cells; plan_cohorts (one layer
 # down, in repro.core.partition) splits a single round's *cohort* across
 # worker processes along the HierarchyPlan boundary.
-from repro.perf.counters import COUNTER_FIELDS, EngineCounters, collect, maybe_register
+from repro.perf.counters import CounterCarrier, EngineCounters, collect, maybe_register
 from repro.telemetry.bus import (
     RecordingSubscriber,
     TelemetryBus,
@@ -68,7 +72,6 @@ from repro.telemetry.bus import (
 )
 from repro.traces.models import Trace
 from repro.traces.replay import ReplayConfig, ReplayResult, TraceReplayEngine
-from repro.traces.slo import SloTracker
 
 if TYPE_CHECKING:  # import-light, mirroring replay.py
     from repro.chaos.plan import FaultPlan
@@ -77,6 +80,7 @@ if TYPE_CHECKING:  # import-light, mirroring replay.py
     from repro.fl.client import FLClient
     from repro.fl.population import ClientPopulation
     from repro.fl.selector import Selector
+    from repro.geo.federation import GeoReplayEngine
     from repro.traces.models import AvailabilityTrace
     from repro.traces.replay import ChaosCorrelation
 
@@ -88,6 +92,7 @@ __all__ = [
     "ShardedReplayResult",
     "plan_cohorts",
     "plan_shards",
+    "run_cell",
     "split_trace",
 ]
 
@@ -208,7 +213,7 @@ class ShardedReplayResult:
     def merged_counters(self) -> EngineCounters:
         snap = EngineCounters()
         for rep in self.shards:
-            snap.merge_environment(_ShardCounters(f"shard{rep.shard}", rep.counters))
+            snap.merge_environment(CounterCarrier(f"shard{rep.shard}", rep.counters))
         return snap
 
     @property
@@ -216,17 +221,6 @@ class ShardedReplayResult:
         """The slowest shard's CPU seconds — the wall-clock floor a host
         with at least as many free cores as shards can reach."""
         return max((rep.cpu_seconds for rep in self.shards), default=0.0)
-
-
-class _ShardCounters:
-    """Counter carrier duck-typed as an Environment for the perf collector
-    (it exposes the :data:`~repro.perf.counters.COUNTER_FIELDS` attributes),
-    so ``--profile`` campaigns see forked shards' engine work."""
-
-    def __init__(self, label: str, counters: dict[str, int]) -> None:
-        self.perf_label = label
-        for name in COUNTER_FIELDS:
-            setattr(self, name, counters.get(name, 0))
 
 
 class ShardedReplayEngine:
@@ -283,218 +277,112 @@ class ShardedReplayEngine:
         #: capture); shards never touch it directly — each shard records
         #: into a fresh private bus and the parent re-publishes the merged,
         #: shard-stamped stream after the workers return, so file-handle
-        #: subscribers are never invoked from a forked child
+        #: subscribers are never invoked from a forked child (shards record
+        #: their streams only when someone is subscribed on the parent side)
         self.telemetry = telemetry if telemetry is not None else ambient_bus()
-        #: set per run(): shards record their streams only when someone is
-        #: actually subscribed on the parent side
-        self._stream_shards = False
 
     # ------------------------------------------------------------------ run
     def run(self, inline: bool = False) -> ShardedReplayResult:
-        """Replay every shard and merge.
+        """Replay every shard through :func:`~repro.common.fanout.fan_out`
+        (``inline=True`` runs them in-process) and merge.
 
-        Shards are distributed over ``min(shards, workers)`` forked worker
-        processes (``workers`` defaults to the CPUs this process may run
-        on); a worker granted several shards runs them back to back.
-        ``inline=True`` — or a single-CPU host, or an unforkable caller —
-        runs everything in-process instead.  Every mode is byte-identical:
-        the sub-trace split and all seeding are decided before execution
-        mode, and each shard builds its own platform either way.
+        Every mode is byte-identical: the sub-trace split and all seeding
+        are decided before execution mode, and each shard builds its own
+        platform either way.
         """
         tel = self.telemetry.or_none() if self.telemetry is not None else None
-        self._stream_shards = tel is not None
         plan = plan_shards(self.trace, self.shards)
-        if plan.n_shards == 0:
-            # An empty trace: one empty replay keeps the report shape.
-            report = self._run_shard(0, self.trace)
-            self._publish_streams(tel, [report])
-            return ShardedReplayResult(
-                merged=report.result, shards=[report], forked=False
-            )
+        # An empty trace plans no shard; one empty replay keeps the report shape.
         tasks = [
             (i, split_trace(self.trace, tenants), tenants)
             for i, tenants in enumerate(plan.assignments)
-        ]
-        n_workers = min(plan.n_shards, self.workers or _available_cpus())
-        fork = not inline and n_workers > 1 and _fork_available()
-        if fork:
-            reports = self._run_forked(tasks, n_workers)
+        ] or [(0, self.trace, ())]
+
+        def replay(task: tuple[int, Trace, tuple[int, ...]]) -> ShardReport:
+            shard, sub, tenants = task
+            return run_cell(
+                self,
+                self.platform_factory,
+                sub,
+                shard=shard,
+                tenants=tenants,
+                fault_plan=self.fault_plan,
+                stream=tel is not None,
+            )
+
+        reports, workers = fan_out(
+            replay, tasks, self.workers, inline, what="sharded replay"
+        )
+        if workers > 1:
             # Forked shards' environments lived in the children; credit
             # their counters to any active --profile collector here.
             for rep in reports:
-                maybe_register(_ShardCounters(f"shard{rep.shard}", rep.counters))
-        else:
-            reports = [self._run_shard(i, sub, tenants) for i, sub, tenants in tasks]
-        self._publish_streams(tel, reports)
+                maybe_register(CounterCarrier(f"shard{rep.shard}", rep.counters))
+        if tel is not None:
+            # Fold the shards' recorded streams into arrival order
+            # (stamping each record's shard) for the parent's subscribers.
+            for rec in merge_streams([rep.telemetry for rep in reports]):
+                tel.publish(rec)
+        merged = ReplayResult.merge(
+            [rep.result for rep in reports],
+            self.trace.horizon,
+            self.config.slo_target_s,
+            self.config.track_cost,
+        )
         return ShardedReplayResult(
-            merged=self._merge(reports),
-            shards=reports,
-            forked=fork,
-            workers=n_workers if fork else 1,
+            merged=merged, shards=reports, forked=workers > 1, workers=workers
         )
 
-    def _publish_streams(
-        self, tel: TelemetryBus | None, reports: "list[ShardReport]"
-    ) -> None:
-        """Fold the shards' recorded streams into arrival order (stamping
-        each record's shard) and forward them to the parent's subscribers."""
-        if tel is None:
-            return
-        ordered = sorted(reports, key=lambda r: r.shard)
-        for rec in merge_streams([rep.telemetry for rep in ordered]):
-            tel.publish(rec)
 
-    # ---------------------------------------------------------------- workers
-    def _run_shard(
-        self, shard_id: int, sub: Trace, tenants: tuple[int, ...] = ()
-    ) -> ShardReport:
-        """Replay one shard in the current process, collecting counters.
+def run_cell(
+    owner: "ShardedReplayEngine | GeoReplayEngine",
+    platform_factory: "Callable[[], AggregationPlatform]",
+    sub: Trace,
+    shard: int = 0,
+    tenants: tuple[int, ...] = (),
+    fault_plan: "FaultPlan | None" = None,
+    stream: bool = False,
+) -> ShardReport:
+    """Replay one serving cell in the current process, collecting counters.
 
-        The shard always gets its own private bus (never the parent's):
-        when streaming it records into a plain list shipped home in the
-        report, and when not it blocks any ambient bus from reaching the
-        child replay — the parent owns all subscriber-facing emission.
-        """
-        wall0 = time.perf_counter()
-        cpu0 = time.process_time()
-        shard_bus = TelemetryBus()
-        recorder = (
-            RecordingSubscriber(shard_bus) if self._stream_shards else None
+    ``owner`` supplies the replay knobs (``config``, ``availability``,
+    ``weights``, ``selector``, ``clients``, ``chaos``, ``seed``,
+    ``population``, ``controller``) — a :class:`ShardedReplayEngine` or
+    a :class:`~repro.geo.federation.GeoReplayEngine`; the cell builds its
+    own platform from ``platform_factory``.
+
+    The cell always gets its own private bus (never the parent's): with
+    ``stream`` it records into a plain list shipped home in the report,
+    and without it blocks any ambient bus from reaching the cell's
+    replay — the parent owns all subscriber-facing emission.
+    """
+    wall0 = time.perf_counter()
+    cpu0 = time.process_time()
+    cell_bus = TelemetryBus()
+    recorder = RecordingSubscriber(cell_bus) if stream else None
+    with collect() as perf:
+        engine = TraceReplayEngine(
+            platform_factory(),
+            sub,
+            owner.config,
+            availability=owner.availability,
+            weights=owner.weights,
+            selector=owner.selector,
+            clients=owner.clients,
+            chaos=owner.chaos,
+            seed=owner.seed,
+            population=owner.population,
+            controller=owner.controller,
+            fault_plan=fault_plan,
+            telemetry=cell_bus,
         )
-        with collect() as perf:
-            engine = TraceReplayEngine(
-                self.platform_factory(),
-                sub,
-                self.config,
-                availability=self.availability,
-                weights=self.weights,
-                selector=self.selector,
-                clients=self.clients,
-                chaos=self.chaos,
-                seed=self.seed,
-                population=self.population,
-                controller=self.controller,
-                fault_plan=self.fault_plan,
-                telemetry=shard_bus,
-            )
-            result = engine.run()
-        return ShardReport(
-            shard=shard_id,
-            tenants=tenants,
-            result=result,
-            counters=perf.counters().as_dict(),
-            wall_seconds=time.perf_counter() - wall0,
-            cpu_seconds=time.process_time() - cpu0,
-            telemetry=recorder.records if recorder is not None else [],
-        )
-
-    def _run_forked(
-        self,
-        tasks: list[tuple[int, Trace, tuple[int, ...]]],
-        n_workers: int,
-    ) -> list[ShardReport]:
-        """Fan the shards out over ``n_workers`` forked workers.
-
-        Shards are dealt round-robin (they are already LPT-balanced, so
-        neighbouring indices carry similar load); each worker replays its
-        share sequentially and ships the reports home over a pipe.  The
-        parent receives before joining so a large report cannot deadlock
-        against a full pipe buffer; a worker that dies without reporting
-        surfaces as an error naming its shards.
-        """
-        ctx = multiprocessing.get_context("fork")
-        groups = [tasks[w::n_workers] for w in range(n_workers)]
-        procs = []
-        for w, group in enumerate(groups):
-            rx, tx = ctx.Pipe(duplex=False)
-            proc = ctx.Process(
-                target=self._worker_main,
-                args=(group, tx),
-                name=f"trace-shard-w{w}",
-            )
-            proc.start()
-            tx.close()
-            procs.append((group, proc, rx))
-        reports: list[ShardReport] = []
-        failures: list[str] = []
-        for group, proc, rx in procs:
-            shard_ids = ",".join(str(i) for i, _, _ in group)
-            try:
-                status, payload = rx.recv()
-            except EOFError:
-                status, payload = "err", "worker died without reporting"
-            proc.join()
-            if status == "ok":
-                reports.extend(payload)
-            else:
-                failures.append(f"shards [{shard_ids}]: {payload}")
-        if failures:
-            raise RuntimeError("sharded replay failed: " + "; ".join(failures))
-        return reports
-
-    def _worker_main(self, group, conn) -> None:
-        try:
-            out = [self._run_shard(i, sub, tuple(tenants)) for i, sub, tenants in group]
-            conn.send(("ok", out))
-        except BaseException:
-            conn.send(("err", traceback.format_exc()))
-        finally:
-            conn.close()
-
-    # ------------------------------------------------------------------ merge
-    def _merge(self, reports: list[ShardReport]) -> ReplayResult:
-        """Fold shard results into one :class:`ReplayResult`.
-
-        SLO digests/tallies merge exactly; records re-interleave into the
-        dispatch order (arrival time, tenant, round id) the unsharded
-        engine emits; per-shard peak in-flight counts *sum* (shards peak
-        independently — the sum bounds the fleet's concurrent rounds).
-        """
-        reports = sorted(reports, key=lambda r: r.shard)
-        merged_slo = SloTracker(self.config.slo_target_s)
-        records = []
-        peak_per_tenant: dict[int, int] = {}
-        merged = ReplayResult(
-            records=records,
-            slo=merged_slo,
-            horizon=self.trace.horizon,
-            track_cost=self.config.track_cost,
-        )
-        for rep in reports:
-            res = rep.result
-            merged_slo.merge(res.slo)
-            records.extend(res.records)
-            merged.peak_inflight += res.peak_inflight
-            merged.chaos_waves += res.chaos_waves
-            merged.clients_dropped += res.clients_dropped
-            merged.cost_cpu_s += res.cost_cpu_s
-            for tenant, peak in res.peak_inflight_per_tenant.items():
-                if peak > peak_per_tenant.get(tenant, -1):
-                    peak_per_tenant[tenant] = peak
-            if res.controller is not None:
-                if merged.controller is None:
-                    from repro.controlplane.reactive import ControllerReport
-
-                    merged.controller = ControllerReport()
-                merged.controller.merge(res.controller)
-        records.sort(key=lambda r: (r.arrival_at, r.tenant, r.round_id))
-        merged.peak_inflight_per_tenant = dict(sorted(peak_per_tenant.items()))
-        return merged
-
-
-def _fork_available() -> bool:
-    """Fork workers need the fork start method and a non-daemonic parent
-    (``CampaignRunner --jobs`` pool workers are daemonic and cannot have
-    children — there the shards run inline, byte-identically)."""
-    if "fork" not in multiprocessing.get_all_start_methods():
-        return False
-    return not multiprocessing.current_process().daemon
-
-
-def _available_cpus() -> int:
-    """CPUs this process may actually use (affinity-aware where the OS
-    exposes it) — the default worker-count cap."""
-    try:
-        return len(os.sched_getaffinity(0)) or 1
-    except (AttributeError, OSError):
-        return os.cpu_count() or 1
+        result = engine.run()
+    return ShardReport(
+        shard=shard,
+        tenants=tenants,
+        result=result,
+        counters=perf.counters().as_dict(),
+        wall_seconds=time.perf_counter() - wall0,
+        cpu_seconds=time.process_time() - cpu0,
+        telemetry=recorder.records if recorder is not None else [],
+    )

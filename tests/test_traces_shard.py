@@ -9,11 +9,16 @@ execution modes all merge to identical results.
 
 from __future__ import annotations
 
+import os
+
 import numpy as np
 import pytest
 
 from repro.common.errors import ConfigError
+from repro.common.fanout import WorkerError
+from repro.core.partition import PartitionedRoundEngine
 from repro.core.platform import AggregationPlatform, PlatformConfig
+from repro.geo import GeoReplayEngine, RegionTopology
 from repro.perf.counters import collect
 from repro.traces.models import merge_traces, poisson_trace
 from repro.traces.replay import ReplayConfig, TraceReplayEngine
@@ -168,6 +173,9 @@ def test_forked_inline_and_multiplexed_workers_merge_identically():
     two_workers = _engine(trace, shards=3, workers=2).run()
     assert forked.forked and not inline.forked
     assert forked.row() == inline.row() == two_workers.row()
+    # shards come back in shard order, whatever the worker deal
+    for result in (forked, inline, two_workers):
+        assert [rep.shard for rep in result.shards] == [0, 1, 2]
     for other in (inline, two_workers):
         assert list(map(_record_key, forked.merged.records)) == list(
             map(_record_key, other.merged.records)
@@ -231,18 +239,65 @@ def test_replay_engine_run_shards_entry_point():
     assert lazy.run(shards=3).row()["rounds"] == len(trace.events)
 
 
-def test_forked_worker_failure_names_its_shards():
-    def flaky_factory():
-        # The parent never calls the factory before forking, so every
-        # call happens inside a worker; failing breaks that shard there.
-        raise RuntimeError("boom")
+def _fails_in_workers(exit_hard: bool = False):
+    """A platform factory that works in the parent (the partitioned engine
+    plans there) but breaks every forked worker — by raising, or by dying
+    before the worker can report."""
+    parent = os.getpid()
 
-    trace = _three_tenant_trace()
-    engine = ShardedReplayEngine(
-        flaky_factory, trace, CONFIG, seed=5, shards=3, workers=3
+    def factory(*_region) -> AggregationPlatform:
+        if os.getpid() != parent:
+            if exit_hard:
+                os._exit(1)
+            raise RuntimeError("boom")
+        return AggregationPlatform(
+            PlatformConfig.lifl(), node_names=[f"node{i}" for i in range(8)]
+        )
+
+    return factory
+
+
+def _run_sharded(factory):
+    ShardedReplayEngine(
+        factory, _three_tenant_trace(), CONFIG, seed=5, shards=3, workers=3
+    ).run()
+
+
+def _run_partitioned(factory):
+    arrivals = [(0.25 * i, 10.0 + i) for i in range(100)]
+    PartitionedRoundEngine(factory, shards=3, workers=3).run([arrivals], 1e6)
+
+
+def _run_geo(factory):
+    topology = RegionTopology(
+        ("us", "eu", "ap"), fallbacks={"us": "eu", "eu": "ap", "ap": "us"}
     )
-    with pytest.raises(RuntimeError, match="sharded replay failed"):
-        engine.run()
+    GeoReplayEngine(
+        topology, factory, _three_tenant_trace(), CONFIG, seed=5, workers=3
+    ).run()
+
+
+@pytest.mark.parametrize(
+    "run, exit_hard, prefix",
+    [
+        (_run_sharded, False, "sharded replay failed"),
+        (_run_partitioned, False, "partitioned round failed"),
+        (_run_geo, False, "geo replay failed"),
+        (_run_sharded, True, "sharded replay failed"),
+    ],
+    ids=["sharded", "partitioned", "geo", "sharded-died"],
+)
+def test_forked_worker_failure_names_its_shards(run, exit_hard, prefix):
+    # Each engine forks three single-task workers; every one fails, and the
+    # typed error names each failed task under the engine's prefix.
+    with pytest.raises(WorkerError, match=prefix) as err:
+        run(_fails_in_workers(exit_hard))
+    assert isinstance(err.value, RuntimeError)
+    message = str(err.value)
+    cause = "worker died without reporting" if exit_hard else "RuntimeError: boom"
+    for task in range(3):
+        assert f"tasks [{task}]: " in message
+    assert message.count(cause) == 3
 
 
 def test_forked_shards_credit_profile_counters():
