@@ -6,8 +6,9 @@ placement affinity, borrowed from Flame: each graph node carries a ``role``
 mechanism, and channels carry a ``groupBy`` label — keeping the same label
 clusters roles into a placement-affinity group for locality-aware placement.
 
-Built on :mod:`networkx` so structural queries (roots, reachability,
-topological order) come for free; the LIFL agent consumes
+The graph is two plain dicts — role attributes and successor adjacency,
+both in insertion order — which is all the structural queries here
+(roots, cycles, reachability) need; the LIFL agent consumes
 :meth:`TagGraph.routes` to program sockmaps and gateway routing tables.
 """
 
@@ -15,8 +16,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-
-import networkx as nx
 
 from repro.common.errors import ConfigError
 from repro.controlplane.hierarchy import HierarchyPlan
@@ -52,15 +51,19 @@ class TagGraph:
     """Mutable TAG with validation and route extraction."""
 
     def __init__(self) -> None:
-        self._g = nx.DiGraph()
+        #: role name -> {"role", "node"}
+        self._roles: dict[str, dict[str, str]] = {}
+        #: src -> dst -> {"mechanism", "group_by"}
+        self._succ: dict[str, dict[str, dict]] = {}
 
     # -- construction -------------------------------------------------------
     def add_role(self, name: str, role: str, node: str = "") -> None:
         if role not in ("aggregator", "client"):
             raise ConfigError(f"role must be 'aggregator' or 'client', got {role!r}")
-        if name in self._g:
+        if name in self._roles:
             raise ConfigError(f"role {name!r} already in TAG")
-        self._g.add_node(name, role=role, node=node)
+        self._roles[name] = {"role": role, "node": node}
+        self._succ[name] = {}
 
     def add_channel(
         self,
@@ -70,14 +73,14 @@ class TagGraph:
         group_by: str = "",
     ) -> None:
         for endpoint in (src, dst):
-            if endpoint not in self._g:
+            if endpoint not in self._roles:
                 raise ConfigError(f"channel endpoint {endpoint!r} not in TAG")
         if mechanism is None:
-            src_node = self._g.nodes[src]["node"]
-            dst_node = self._g.nodes[dst]["node"]
+            src_node = self._roles[src]["node"]
+            dst_node = self._roles[dst]["node"]
             same = src_node and src_node == dst_node
             mechanism = ChannelMechanism.SHARED_MEMORY if same else ChannelMechanism.KERNEL
-        self._g.add_edge(src, dst, mechanism=mechanism, group_by=group_by)
+        self._succ[src][dst] = {"mechanism": mechanism, "group_by": group_by}
 
     @classmethod
     def from_plan(cls, plan: HierarchyPlan) -> "TagGraph":
@@ -102,37 +105,42 @@ class TagGraph:
     # -- queries -------------------------------------------------------------
     def roles(self, kind: str | None = None) -> list[str]:
         if kind is None:
-            return list(self._g.nodes)
-        return [n for n, d in self._g.nodes(data=True) if d["role"] == kind]
+            return list(self._roles)
+        return [n for n, d in self._roles.items() if d["role"] == kind]
 
     def role_of(self, name: str) -> str:
-        return self._g.nodes[name]["role"]
+        return self._roles[name]["role"]
 
     def worker_node_of(self, name: str) -> str:
-        return self._g.nodes[name]["node"]
+        return self._roles[name]["node"]
 
     def channel(self, src: str, dst: str) -> Channel:
-        data = self._g.get_edge_data(src, dst)
+        data = self._succ.get(src, {}).get(dst)
         if data is None:
             raise ConfigError(f"no channel {src!r} -> {dst!r}")
         return Channel(src, dst, data["mechanism"], data["group_by"])
+
+    def _channels(self):
+        """Every channel as ``(src, dst, data)``, in insertion order."""
+        for src, dsts in self._succ.items():
+            for dst, data in dsts.items():
+                yield src, dst, data
 
     def routes(self) -> dict[str, str]:
         """src → dst map for every aggregator with one outgoing channel
         (the DAG input the routing manager converts to sockmap entries)."""
         out: dict[str, str] = {}
-        for src in self._g.nodes:
-            succs = list(self._g.successors(src))
-            if len(succs) == 1:
-                out[src] = succs[0]
-            elif len(succs) > 1:
+        for src, dsts in self._succ.items():
+            if len(dsts) == 1:
+                out[src] = next(iter(dsts))
+            elif len(dsts) > 1:
                 raise ConfigError(f"{src!r} has multiple outgoing channels; not a tree")
         return out
 
     def affinity_groups(self) -> dict[str, list[str]]:
         """groupBy label → roles sharing it (placement affinity, App. D)."""
         groups: dict[str, list[str]] = {}
-        for src, dst, data in self._g.edges(data=True):
+        for src, dst, data in self._channels():
             label = data["group_by"]
             if not label:
                 continue
@@ -145,7 +153,7 @@ class TagGraph:
     def shared_memory_fraction(self) -> float:
         """Fraction of channels served by shared memory — the quantity
         locality-aware placement maximizes."""
-        edges = list(self._g.edges(data=True))
+        edges = list(self._channels())
         if not edges:
             return 0.0
         shm = sum(1 for *_, d in edges if d["mechanism"] is ChannelMechanism.SHARED_MEMORY)
@@ -155,20 +163,41 @@ class TagGraph:
         """Check the aggregator subgraph is a single-rooted in-tree; returns
         the root's name."""
         aggs = set(self.roles("aggregator"))
-        sub = self._g.subgraph(aggs)
-        roots = [n for n in sub.nodes if sub.out_degree(n) == 0]
+        succ = {n: [d for d in self._succ[n] if d in aggs] for n in self._roles if n in aggs}
+        roots = [n for n, out in succ.items() if not out]
         if len(roots) != 1:
             raise ConfigError(f"hierarchy must have exactly one root, found {roots}")
-        if not nx.is_directed_acyclic_graph(sub):
+        preds: dict[str, list[str]] = {n: [] for n in succ}
+        for n, out in succ.items():
+            for d in out:
+                preds[d].append(n)
+        # Kahn's algorithm from the sinks: an acyclic graph peels away fully.
+        pending = {n: len(out) for n, out in succ.items()}
+        ready = list(roots)
+        peeled = 0
+        while ready:
+            peeled += 1
+            for p in preds[ready.pop()]:
+                pending[p] -= 1
+                if not pending[p]:
+                    ready.append(p)
+        if peeled != len(succ):
             raise ConfigError("hierarchy contains a cycle")
         root = roots[0]
-        for n in sub.nodes:
-            if n != root and not nx.has_path(sub, n, root):
+        reach = {root}
+        frontier = [root]
+        while frontier:
+            for p in preds[frontier.pop()]:
+                if p not in reach:
+                    reach.add(p)
+                    frontier.append(p)
+        for n in succ:
+            if n not in reach:
                 raise ConfigError(f"{n!r} cannot reach the root {root!r}")
         return root
 
     def __len__(self) -> int:
-        return len(self._g)
+        return len(self._roles)
 
     def edge_count(self) -> int:
-        return self._g.number_of_edges()
+        return sum(len(dsts) for dsts in self._succ.values())

@@ -36,7 +36,8 @@ duration-dependent reservations match the unpartitioned accounting.
 sequential engine, so it is byte-identical to an unpartitioned run (the
 golden tests pin this).  Cohorts fan out through
 :func:`~repro.common.fanout.fan_out`, the fork/merge primitive
-:class:`~repro.traces.shard.ShardedReplayEngine` uses too: forked
+:class:`~repro.traces.shard.ShardedReplayEngine` uses too: the parent
+simulates the first worker's cohorts itself and forks the other
 workers, recv-before-join pipes, inline fallback where fork is
 unavailable, and results in cohort order; each cohort self-times its CPU
 for the critical-path report.
@@ -178,9 +179,10 @@ class PartitionedRunResult:
 
     results: list[RoundResult]
     cohorts: list[CohortReport] = field(default_factory=list)
-    #: True when cohorts ran on forked workers, False inline/sequential
+    #: True when some cohorts ran on forked workers, False inline/sequential
     forked: bool = False
-    #: worker processes used (1 for inline/sequential)
+    #: processes that simulated cohorts, the caller included (1 for
+    #: inline/sequential)
     workers: int = 1
     #: CPU seconds the parent's root phase burned (all rounds)
     root_cpu_seconds: float = 0.0

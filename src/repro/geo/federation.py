@@ -363,7 +363,8 @@ class GeoReplayEngine:
 
     # ------------------------------------------------------------------ run
     def run(self, inline: bool = False) -> GeoReplayResult:
-        """Replay every region cell (forked where possible) and merge.
+        """Replay every region cell (across forked workers and this
+        process where possible) and merge.
 
         Routing, sub-traces, and all seeding are fixed before execution
         mode is chosen, so forked and inline runs are byte-identical —

@@ -156,3 +156,17 @@ def collect() -> Iterator[PerfCollector]:
         yield collector
     finally:
         _ACTIVE.remove(collector)
+
+
+@contextmanager
+def paused() -> Iterator[None]:
+    """Hide every active collector for the body; collectors opened inside
+    it still see their own environments.  The fan-out parent runs its
+    share under this, because the engines credit that share through a
+    :class:`CounterCarrier`, as they do for the forked shares."""
+    saved = _ACTIVE[:]
+    _ACTIVE.clear()
+    try:
+        yield
+    finally:
+        _ACTIVE[:] = saved

@@ -20,12 +20,14 @@ pool — then folds the per-shard results into one report:
   every seeded draw (participants, chaos victims) keys off
   ``(seed, tenant, round_id)`` — so a shard replays its tenants exactly
   as the unsharded engine would have drawn them.
-* **fork-based execution** — shards run on forked worker processes
-  through :func:`~repro.common.fanout.fan_out`, the one fork/merge
-  primitive the partitioned and geo engines share.  The worker count
-  defaults to ``min(shards, available CPUs)`` — a worker granted several
-  shards runs them sequentially, so a single-CPU host degrades to the
-  inline path instead of paying fork-and-timeslice overhead for nothing.
+* **fork-based execution** — shards run through
+  :func:`~repro.common.fanout.fan_out`, the one fork/merge primitive the
+  partitioned and geo engines share: the calling process replays the
+  first worker's shards itself and forks one process per other worker.
+  The worker count defaults to ``min(shards, available CPUs)`` — a
+  worker granted several shards runs them sequentially, so a single-CPU
+  host degrades to the inline path instead of paying fork-and-timeslice
+  overhead for nothing.
   Where fork is unavailable (or the caller is already a daemonic pool
   worker, which cannot fork children), shards likewise run inline; every
   execution mode returns the shards in shard order and produces
@@ -202,9 +204,9 @@ class ShardedReplayResult:
 
     merged: ReplayResult
     shards: list[ShardReport]
-    #: True when shards ran on forked workers, False for the inline path
+    #: True when some shards ran on forked workers, False for the inline path
     forked: bool
-    #: worker processes used (1 for the inline path)
+    #: processes that replayed shards, the caller included (1 inline)
     workers: int = 1
 
     def row(self) -> dict:
@@ -314,8 +316,9 @@ class ShardedReplayEngine:
             replay, tasks, self.workers, inline, what="sharded replay"
         )
         if workers > 1:
-            # Forked shards' environments lived in the children; credit
-            # their counters to any active --profile collector here.
+            # Forked shards' environments lived in the children, and
+            # fan_out hid the parent's own share from collectors; credit
+            # every shard's counters to any active --profile collector here.
             for rep in reports:
                 maybe_register(CounterCarrier(f"shard{rep.shard}", rep.counters))
         if tel is not None:

@@ -1,9 +1,10 @@
 """The one fork/merge primitive (`repro.common.fanout.fan_out`).
 
 Its contract: results come back in task order in every execution mode,
-forked and inline runs return equal results, a daemonic caller (which
-cannot fork children) runs inline, and a failed worker raises one typed
-error naming its tasks.
+forked and inline runs return equal results, the caller runs share 0
+itself and forks one worker per other share, a daemonic caller (which
+cannot fork children) runs inline, and failed shares raise one typed
+error naming their tasks.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ import pytest
 
 from repro.common.errors import LiflError
 from repro.common.fanout import WorkerError, fan_out
+from repro.perf.counters import collect, maybe_register, paused
 
 TASKS = list(range(7))
 
@@ -85,3 +87,42 @@ def test_failed_worker_raises_typed_error_naming_its_tasks():
     assert "ValueError: bad task" in str(err.value)
     # the other workers' tasks are not blamed
     assert "tasks [0," not in str(err.value)
+
+
+@fork_only
+def test_caller_runs_share_zero_and_forks_the_rest():
+    parent = os.getpid()
+    pids, used = fan_out(lambda _: os.getpid(), TASKS, workers=3)
+    assert used == 3
+    assert [pids[i] for i in (0, 3, 6)] == [parent] * 3
+    shares = [{pids[i] for i in range(w, len(TASKS), 3)} for w in (1, 2)]
+    assert all(len(pid) == 1 for pid in shares)
+    assert len(shares[0] | shares[1]) == 2
+    assert parent not in shares[0] | shares[1]
+
+
+@fork_only
+def test_failed_caller_share_still_joins_its_workers():
+    parent = os.getpid()
+
+    def fail_in_caller(x: int) -> int:
+        if os.getpid() == parent:
+            raise ValueError("caller share")
+        return x
+
+    with pytest.raises(WorkerError, match="demo failed: tasks \\[0,3,6\\]: ") as err:
+        fan_out(fail_in_caller, TASKS, workers=3, what="demo")
+    assert "ValueError: caller share" in str(err.value)
+    assert "tasks [1," not in str(err.value)
+    assert multiprocessing.active_children() == []
+
+
+def test_caller_share_is_hidden_from_active_collectors():
+    with collect() as outer:
+        with paused():
+            maybe_register("hidden")
+            with collect() as inner:
+                maybe_register("own")
+        maybe_register("seen")
+    assert outer.environments == 1
+    assert inner.environments == 1

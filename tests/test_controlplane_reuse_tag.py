@@ -126,3 +126,32 @@ def test_tag_manual_construction_and_errors():
         tag.add_channel("ghost", "agg1")
     with pytest.raises(ConfigError):
         tag.channel("agg1", "client1")  # no such edge
+
+
+def _aggregators(*names: str) -> TagGraph:
+    tag = TagGraph()
+    for name in names:
+        tag.add_role(name, "aggregator", node="n0")
+    return tag
+
+
+def test_tag_validation_rejects_two_roots():
+    tag = _aggregators("top", "other", "leaf")
+    tag.add_channel("leaf", "top")
+    tag.add_role("client1", "client")
+    tag.add_channel("other", "client1")  # a client edge does not make a parent
+    with pytest.raises(ConfigError, match=r"exactly one root, found \['top', 'other'\]"):
+        tag.validate_single_rooted()
+
+
+def test_tag_validation_rejects_a_cycle():
+    tag = _aggregators("top", "a", "b", "c")
+    tag.add_channel("a", "b")
+    tag.add_channel("b", "c")
+    tag.add_channel("c", "a")
+    with pytest.raises(ConfigError, match="hierarchy contains a cycle"):
+        tag.validate_single_rooted()
+    # a cycle hanging off an otherwise sound tree is caught too
+    tag.add_channel("a", "top")
+    with pytest.raises(ConfigError, match="hierarchy contains a cycle"):
+        tag.validate_single_rooted()

@@ -83,3 +83,17 @@ def test_custom_policy_example_runs():
     assert proc.returncode == 0, proc.stderr
     assert "freshest-first served" in proc.stdout
     assert "determinism holds" in proc.stdout
+
+
+def test_setup_metadata_matches_the_package():
+    from repro import __version__
+
+    proc = subprocess.run(
+        [sys.executable, "setup.py", "--name", "--version"],
+        capture_output=True,
+        text=True,
+        cwd=REPO,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["repro", __version__]

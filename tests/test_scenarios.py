@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -21,8 +23,31 @@ from repro.scenarios.runner import CampaignRunner, run_scenario
 #: fast, fully deterministic scenarios used for the equivalence checks
 FAST_DETERMINISTIC = ["fig04", "fig07", "fig13", "capacity"]
 
+#: imports the package and every scenario module in a fresh interpreter
+_IMPORT_EVERY_SCENARIO = """
+import importlib, pkgutil, sys
+import repro, repro.experiments
+from repro.scenarios.registry import all_scenarios
+for mod in pkgutil.iter_modules(repro.experiments.__path__):
+    importlib.import_module("repro.experiments." + mod.name)
+assert all_scenarios()
+assert "networkx" not in sys.modules, "a scenario module imported networkx"
+"""
+
 
 # ---------------------------------------------------------------- registry
+def test_scenario_modules_import_without_networkx():
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    proc = subprocess.run(
+        [sys.executable, "-c", _IMPORT_EVERY_SCENARIO],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=src),
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_catalogue_contains_all_figures_and_extras():
     names = {s.name for s in all_scenarios()}
     assert {

@@ -239,20 +239,24 @@ def test_replay_engine_run_shards_entry_point():
     assert lazy.run(shards=3).row()["rounds"] == len(trace.events)
 
 
-def _fails_in_workers(exit_hard: bool = False):
-    """A platform factory that works in the parent (the partitioned engine
-    plans there) but breaks every forked worker — by raising, or by dying
-    before the worker can report."""
+def _fails_in_tasks(exit_hard: bool = False, planning_calls: int = 0):
+    """A platform factory that breaks every task, in whichever process runs
+    it: it raises, or (with ``exit_hard``) a forked worker dies before it
+    can report.  Its first ``planning_calls`` calls succeed — the
+    partitioned engine builds one platform in the parent to plan — and
+    forked workers inherit the spent count."""
     parent = os.getpid()
+    left = [planning_calls]
 
     def factory(*_region) -> AggregationPlatform:
-        if os.getpid() != parent:
-            if exit_hard:
-                os._exit(1)
-            raise RuntimeError("boom")
-        return AggregationPlatform(
-            PlatformConfig.lifl(), node_names=[f"node{i}" for i in range(8)]
-        )
+        if left[0]:
+            left[0] -= 1
+            return AggregationPlatform(
+                PlatformConfig.lifl(), node_names=[f"node{i}" for i in range(8)]
+            )
+        if exit_hard and os.getpid() != parent:
+            os._exit(1)
+        raise RuntimeError("boom")
 
     return factory
 
@@ -278,26 +282,34 @@ def _run_geo(factory):
 
 
 @pytest.mark.parametrize(
-    "run, exit_hard, prefix",
+    "run, exit_hard, planning_calls, prefix",
     [
-        (_run_sharded, False, "sharded replay failed"),
-        (_run_partitioned, False, "partitioned round failed"),
-        (_run_geo, False, "geo replay failed"),
-        (_run_sharded, True, "sharded replay failed"),
+        (_run_sharded, False, 0, "sharded replay failed"),
+        (_run_partitioned, False, 1, "partitioned round failed"),
+        (_run_geo, False, 0, "geo replay failed"),
+        (_run_sharded, True, 0, "sharded replay failed"),
     ],
     ids=["sharded", "partitioned", "geo", "sharded-died"],
 )
-def test_forked_worker_failure_names_its_shards(run, exit_hard, prefix):
-    # Each engine forks three single-task workers; every one fails, and the
-    # typed error names each failed task under the engine's prefix.
+def test_forked_worker_failure_names_its_shards(run, exit_hard, planning_calls, prefix):
+    # Each engine runs three single-task shares: share 0 in the parent and
+    # two on forked workers.  Every one fails, and the typed error names
+    # each failed task under the engine's prefix.
     with pytest.raises(WorkerError, match=prefix) as err:
-        run(_fails_in_workers(exit_hard))
+        run(_fails_in_tasks(exit_hard, planning_calls))
     assert isinstance(err.value, RuntimeError)
     message = str(err.value)
-    cause = "worker died without reporting" if exit_hard else "RuntimeError: boom"
     for task in range(3):
         assert f"tasks [{task}]: " in message
-    assert message.count(cause) == 3
+    if exit_hard:
+        # the parent's share raises; the forked shares die unreported
+        parent_share, forked_shares = message.split("; tasks [1]: ", 1)
+        assert "tasks [0]: " in parent_share
+        assert "RuntimeError: boom" in parent_share
+        assert forked_shares.count("worker died without reporting") == 2
+        assert "RuntimeError: boom" not in forked_shares
+    else:
+        assert message.count("RuntimeError: boom") == 3
 
 
 def test_forked_shards_credit_profile_counters():
