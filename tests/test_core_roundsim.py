@@ -6,9 +6,10 @@ import pytest
 
 from repro.common.errors import ConfigError
 from repro.common.units import RESNET152_BYTES, RESNET18_BYTES
+from repro.core.aggregator import AggregatorCosts, AggregatorInstance
 from repro.core.platform import AggregationPlatform, PlatformConfig
 from repro.core.roundsim import RoundEngine
-from repro.core.updates import SimUpdate
+from repro.core.updates import MailboxItem, SimUpdate
 from repro.controlplane.hierarchy import plan_hierarchy
 from repro.sim.engine import Environment
 from repro.workloads.arrival import concurrent_arrivals, staggered_arrivals
@@ -259,3 +260,31 @@ def test_cost_table_is_built_once_per_model_size(monkeypatch):
         ups = make_updates([0.0, 0.5], nbytes=nbytes)
         engine.run_round(ups, plan_hierarchy({"node0": 2}), include_eval=False)
     assert calls == [RESNET18_BYTES, RESNET152_BYTES]
+
+
+def test_lazy_aggregator_drains_a_large_same_instant_backlog():
+    """A lazy top with thousands of children: every item lands in one
+    instant and the Recv step costs nothing, so the loop must iterate over
+    the backlog rather than nest one call per item."""
+    env = Environment()
+    outputs: list[float] = []
+    n = 5000
+    inst = AggregatorInstance(
+        env=env,
+        agg_id="top",
+        node="node0",
+        role="top",
+        fan_in=n,
+        costs=AggregatorCosts(0.0, 0.0, 0.001, 0.0, 0.0, 0.0),
+        eager=False,
+        charge_cpu=lambda comp, s: None,
+        on_output=lambda inst, weight, now: outputs.append(weight),
+        record=None,
+    )
+    inst.ensure_created(reused=True)
+    for i in range(n):
+        inst.deliver(MailboxItem(1.0 + (i % 3), f"c{i}", False, 0.0))
+    env.run()
+    assert outputs == [float(sum(1 + (i % 3) for i in range(n)))]
+    assert inst.stats.updates_aggregated == n
+    assert inst.stats.client_updates == n
