@@ -1,4 +1,4 @@
-"""The step-based aggregator (Fig. 14, Appendix G) as a simulation process.
+"""The step-based aggregator (Fig. 14, Appendix G) as kernel callbacks.
 
 One aggregator instance is a multiple-producer, single-consumer pipeline of
 three steps:
@@ -14,6 +14,11 @@ three steps:
 arrives.  **Lazy** aggregation receives everything first and only then runs
 the aggregation burst — the whole difference between Fig. 1(a) and (b), and
 the source of the ~20 % ACT gap measured in Fig. 8 (④).
+
+The loop is event-driven, like the paper's data plane: it is no process
+of its own but a continuation (:meth:`AggregatorInstance._resume`) that
+each wait registers on the event it waits for — the readiness event, a
+parked mailbox get, or a Recv/Agg step's timer.
 """
 
 from __future__ import annotations
@@ -21,12 +26,12 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Generator
+from typing import Callable
 
 from repro.common.errors import SimulationError
 from repro.core.results import InstanceStats
 from repro.core.updates import MailboxItem
-from repro.sim.engine import Environment, Event, Process
+from repro.sim.engine import Environment, Event, Timeout
 from repro.sim.resources import Store
 
 
@@ -46,6 +51,14 @@ _GOAL_WAKE = MailboxItem(
 )
 
 
+#: where the loop resumes when the event it waits on fires (``_pc``):
+#: the start event, the readiness event, a parked mailbox get, the Recv
+#: step's timer, the Agg step's timer; ``_DONE`` is no live incarnation
+_START, _READY, _GOT, _RECEIVED, _AGGREGATED, _DONE = range(6)
+#: loop positions a step moves between without waiting
+_TOP, _QUEUE, _AGG, _NEXT = range(6, 10)
+
+
 @dataclass
 class AggregatorCosts:
     """Per-instance latencies/CPU the round engine computed for this system
@@ -61,6 +74,15 @@ class AggregatorCosts:
 
 class AggregatorInstance:
     """One running aggregator in the round simulation."""
+
+    __slots__ = (
+        "env", "agg_id", "node", "role", "fan_in", "costs", "eager", "_charge",
+        "_on_output", "_record", "mailbox", "state", "stats", "_created",
+        "_ready_event", "_total_weight", "retain_inputs", "_consumed",
+        # the running incarnation's loop state
+        "_pc", "_wait", "_goal", "_received", "_aggregated", "_pending",
+        "_retain", "_item", "_t0",
+    )
 
     def __init__(
         self,
@@ -102,7 +124,17 @@ class AggregatorInstance:
         #: instance).  Off by default — fault-free rounds pay nothing.
         self.retain_inputs = False
         self._consumed: list[MailboxItem] = []
-        self.process = Process(env, self._run(), agg_id)
+        self._pc = _DONE
+        #: the event the loop waits on (the start event before it fired)
+        self._wait: Event | None = None
+        self._goal = 0
+        self._received = 0
+        self._aggregated = 0
+        self._pending: deque[MailboxItem] | None = None
+        self._retain: list[MailboxItem] | None = None
+        self._item: MailboxItem | None = None
+        self._t0 = 0.0
+        self._spawn()
 
     # -- lifecycle ------------------------------------------------------------
     def ensure_created(self, reused: bool = False) -> None:
@@ -169,7 +201,7 @@ class AggregatorInstance:
             self.mailbox.put_nowait(_GOAL_WAKE)
         return self.fan_in != before
 
-    def _retire_process(self) -> None:
+    def _retire(self) -> None:
         """Terminate the running incarnation *synchronously*.
 
         An async interrupt leaves a window (events already queued at the
@@ -177,36 +209,28 @@ class AggregatorInstance:
         a same-instant delivery may have handed an item to its parked
         mailbox getter, and a same-instant timeout could re-enter the Agg
         step and corrupt the freshly reset accumulator.  So the kill is
-        immediate: reclaim any in-flight mailbox item back to the queue,
-        cancel the pending resume, detach from the wait target, and mark
-        the process finished so every later resume no-ops.
+        immediate: cancel a pending start, reclaim any in-flight mailbox
+        item back to the queue, and detach the loop's continuation from
+        whatever it waits on.
         """
-        proc = self.process
-        if proc._triggered:  # noqa: SLF001 - instance owns its process
+        pc = self._pc
+        if pc == _DONE:
             return
         env = self.env
-        target = proc._target
-        if target is not None:
-            if (
-                target._triggered
-                and not target._processed
-                and not target._cancelled
-                and target._ok
-                and isinstance(target._value, MailboxItem)
-            ):
-                # A deposit already succeeded the dead incarnation's parked
-                # getter: the item left the store but was never received.
-                # Put it back at the head and retire the resume event.
-                env.cancel(target)
-                if target._value is not _GOAL_WAKE:
-                    self.mailbox.items.appendleft(target._value)
-            elif target.callbacks is not None and proc._resume in target.callbacks:
-                target.callbacks.remove(proc._resume)
-        init = proc._initialize
-        if init is not None and not init._processed and not init._cancelled:
-            env.cancel(init)
-        proc._value = None
-        proc._finish()  # no waiters; _ok stays True, so nothing raises
+        wait = self._wait
+        if pc == _START:
+            env.cancel(wait)
+        elif pc == _GOT and wait._triggered:
+            # A deposit already succeeded the dead incarnation's parked
+            # getter: the item left the store but was never received.
+            # Put it back at the head and retire the resume event.
+            env.cancel(wait)
+            if wait._value is not _GOAL_WAKE:
+                self.mailbox.items.appendleft(wait._value)
+        else:
+            wait.callbacks.remove(self._resume)
+        self._pc = _DONE
+        self._wait = None
 
     def crash(self) -> bool:
         """Kill the running incarnation (fault injection).
@@ -219,7 +243,7 @@ class AggregatorInstance:
         :meth:`restart`."""
         if not self._created or self.state is InstanceState.FINISHED:
             return False
-        self._retire_process()
+        self._retire()
         self.mailbox.drop_getters()
         self.state = InstanceState.CRASHED
         return True
@@ -250,7 +274,7 @@ class AggregatorInstance:
         now = env.now
         self.state = InstanceState.STARTING
         ready_event = self._ready_event = Event(env)
-        self.process = Process(env, self._run(), self.agg_id)
+        self._spawn()
         if startup_latency <= 0.0:
             self.state = InstanceState.READY
             stats.ready_at = now
@@ -271,73 +295,127 @@ class AggregatorInstance:
         env.timeout(startup_latency).callbacks.append(up)
 
     # -- the step-based processing loop (Fig. 14) ------------------------------
-    def _run(self) -> Generator[Event, object, None]:
-        yield self._ready_event
-        # This loop runs once per update in the round across every
-        # instance — bind the per-step constants once.
+    def _spawn(self) -> None:
+        """Start a fresh incarnation: one start event, fired this instant."""
+        self._pc = _START
+        self._wait = start = Timeout(self.env, 0.0)
+        start.callbacks.append(self._resume)
+
+    def _resume(self, event: Event) -> None:
+        """Continuation of the Recv → Agg → Send loop.
+
+        Every wait registers this method on the event it waits for and sets
+        ``_pc`` to the point the loop resumes at.  One call runs steps until
+        the next wait (or Send) and returns; items already in the mailbox
+        are taken in the same pass, so a backlog of any size costs no stack
+        depth.
+        """
+        pc = self._pc
+        if pc == _START:
+            # The start event is pushed before this incarnation's ready
+            # event can be triggered, so readiness is never already
+            # processed here.
+            self._pc = _READY
+            self._wait = ready = self._ready_event
+            ready.callbacks.append(self._resume)
+            return
         env = self.env
-        timeout = env.timeout
-        mailbox_get = self.mailbox.get
-        mailbox_try_get = self.mailbox.try_get
-        charge = self._charge
-        record = self._record  # None when the round's telemetry is off
-        stats = self.stats
-        agg_id = self.agg_id
-        # ``fan_in`` is re-read each pass: the recovery controller may
-        # shrink the goal mid-round after declared client failures.
-        fan_in = self.fan_in
-        eager = self.eager
         costs = self.costs
-        recv_latency = costs.recv_client_latency
-        recv_cpu = costs.recv_client_cpu
-        agg_latency = costs.agg_latency
-        agg_cpu = costs.agg_cpu
-        retain = self._consumed if self.retain_inputs else None
-        received = 0
-        aggregated = 0
-        pending: deque[MailboxItem] = deque()
-        while aggregated < fan_in:
-            if received < fan_in:
-                # Backlogged mailboxes hand the item over without an event
-                # round-trip; only an empty mailbox parks the process.
-                item = mailbox_try_get()
-                if item is None:
-                    item = yield mailbox_get()
-                if item is _GOAL_WAKE:
-                    fan_in = self.fan_in  # the goal shrank while parked
+        stats = self.stats
+        record = self._record  # None when the round's telemetry is off
+        item = None
+        if pc == _READY:
+            # ``_goal`` is re-read at the points the recovery controller's
+            # goal shrinks (client failures) can take effect.
+            self._goal = self.fan_in
+            self._received = 0
+            self._aggregated = 0
+            self._pending = deque()
+            self._retain = self._consumed if self.retain_inputs else None
+            pc = _TOP
+        elif pc == _GOT:
+            item = event._value
+        elif pc == _RECEIVED:
+            self._charge("dataplane", costs.recv_client_cpu)
+            if record is not None:
+                record(self.agg_id, "network", self._t0, env._now)
+            item = self._item
+            pc = _QUEUE
+        else:  # _AGGREGATED
+            self._charge("aggregation", costs.agg_cpu)
+            if record is not None:
+                record(self.agg_id, "agg", self._t0, env._now)
+            item = self._item
+            self._total_weight += item.weight
+            self._aggregated += 1
+            stats.updates_aggregated = self._aggregated
+            if not item.is_intermediate:
+                stats.client_updates += 1
+            # eager goes back to Recv, overlapping later arrivals
+            pc = _NEXT if self.eager else _AGG
+        while True:
+            if pc == _TOP:
+                if self._aggregated >= self._goal:
+                    self._send()
+                    return
+                if self._received >= self._goal:
+                    pc = _AGG
                     continue
-                received += 1
-                if retain is not None:
-                    retain.append(item)
+                # Backlogged mailboxes hand the item over without an event
+                # round-trip; only an empty mailbox parks the loop.
+                item = self.mailbox.try_get()
+                if item is None:
+                    self._pc = _GOT
+                    self._wait = get = self.mailbox.get()
+                    get.callbacks.append(self._resume)
+                    return
+                pc = _GOT
+            if pc == _GOT:
+                if item is _GOAL_WAKE:
+                    self._goal = self.fan_in  # the goal shrank while parked
+                    pc = _TOP
+                    continue
+                self._received += 1
+                if self._retain is not None:
+                    self._retain.append(item)
                 # Recv step: client updates pay the consumer-side ingress
                 # leg; intermediates' cost was paid on the transfer edge.
-                if not item.is_intermediate and recv_latency > 0:
-                    t0 = env._now
-                    yield timeout(recv_latency)
-                    charge("dataplane", recv_cpu)
-                    if record is not None:
-                        record(agg_id, "network", t0, env._now)
-                pending.append(item)
-                if not eager and received < fan_in:
-                    continue  # lazy: keep queuing until everything arrived
-            # Agg step: eager folds one item; lazy drains the whole queue.
-            while pending and aggregated < fan_in:
-                item = pending.popleft()
-                t0 = env._now
-                yield timeout(agg_latency)
-                charge("aggregation", agg_cpu)
-                if record is not None:
-                    record(agg_id, "agg", t0, env._now)
-                self._total_weight += item.weight
-                aggregated += 1
-                stats.updates_aggregated = aggregated
-                if not item.is_intermediate:
-                    stats.client_updates += 1
-                if eager:
-                    break  # go back to Recv; overlap with later arrivals
-            fan_in = self.fan_in
-        # Send step
+                if not item.is_intermediate and costs.recv_client_latency > 0:
+                    self._item = item
+                    self._t0 = env._now
+                    self._pc = _RECEIVED
+                    self._wait = wait = Timeout(env, costs.recv_client_latency)
+                    wait.callbacks.append(self._resume)
+                    return
+                pc = _QUEUE
+            if pc == _QUEUE:
+                self._pending.append(item)
+                # lazy: keep queuing until everything arrived
+                pc = _TOP if not self.eager and self._received < self._goal else _AGG
+                continue
+            if pc == _AGG:
+                # Agg step: eager folds one item; lazy drains the queue.
+                if self._pending and self._aggregated < self._goal:
+                    self._item = self._pending.popleft()
+                    self._t0 = env._now
+                    self._pc = _AGGREGATED
+                    self._wait = wait = Timeout(env, costs.agg_latency)
+                    wait.callbacks.append(self._resume)
+                    return
+                pc = _NEXT
+            # _NEXT: end of one Recv/Agg pass
+            self._goal = self.fan_in
+            pc = _TOP
+
+    def _send(self) -> None:
+        """Send step: emit the aggregate and end the incarnation, dropping
+        its per-incarnation state."""
+        self._pc = _DONE
+        self._wait = None
+        self._pending = None
+        self._retain = None
+        self._item = None
         self.state = InstanceState.FINISHED
-        now = env._now
-        stats.finished_at = now
+        now = self.env._now
+        self.stats.finished_at = now
         self._on_output(self, self._total_weight, now)

@@ -53,7 +53,7 @@ from repro.cluster.network import Fabric
 from repro.cluster.node import NodeSpec, WorkerNode
 from repro.common.errors import ConfigError, SimulationError
 from repro.common.eventlog import EventLog
-from repro.controlplane.hierarchy import AggregatorSpec, HierarchyPlan, Role
+from repro.controlplane.hierarchy import HierarchyPlan, Role
 from repro.core.aggregator import AggregatorCosts, AggregatorInstance
 from repro.core.platform import PlatformConfig
 from repro.core.results import RoundResult
@@ -65,7 +65,7 @@ from repro.core.stages import (
 )
 from repro.core.updates import MailboxItem, SimUpdate
 from repro.dataplane.calibration import DEFAULT_CALIBRATION, DataplaneCalibration
-from repro.sim.engine import Environment, Process
+from repro.sim.engine import Environment, Event, Interrupt, Timeout
 from repro.sim.resources import Resource
 
 __all__ = ["RoundEngine", "TenantRound", "WarmState", "required_leaf_capacity"]
@@ -88,7 +88,8 @@ class TenantRound:
     #: CPU ledgers of the nodes this round touches, in fleet order
     nodes: dict[str, WorkerNode]
     instances: dict[str, "object"]  # agg_id -> AggregatorInstance
-    ingress_procs: dict[int, Process]
+    #: update uid -> its ingress flow (chaos drops clients through these)
+    ingress_procs: dict[int, "DeliveryFlow"]
     leaf_assignment: dict[int, str]
     top_done: "object"  # Event
     result: RoundResult
@@ -97,11 +98,22 @@ class TenantRound:
     #: recovery controller when a reactive leaf lost all its clients and
     #: must still emit its empty intermediate)
     create: Callable[[object], None]
+    #: what the round's delivery flows share; it holds the delivery hook,
+    #: so the flows never point back at this record
+    flows: "_FlowContext"
     chaos_active: bool = False
-    #: chaos hook: called with the SimUpdate after each successful delivery
-    on_delivery: Optional[Callable[[SimUpdate], None]] = None
     clients_dropped: int = 0
     dropped_uids: set[int] = field(default_factory=set)
+
+    @property
+    def on_delivery(self) -> Optional[Callable[[SimUpdate], None]]:
+        """Chaos hook: called with the SimUpdate after each successful
+        delivery (None: no hook)."""
+        return self.flows.on_delivery
+
+    @on_delivery.setter
+    def on_delivery(self, hook: Optional[Callable[[SimUpdate], None]]) -> None:
+        self.flows.on_delivery = hook
 
 
 @dataclass(frozen=True, slots=True)
@@ -443,16 +455,15 @@ class RoundEngine:
                 if boundary["seen"] >= boundary["expected"] and not top_done.triggered:
                     top_done.succeed(now)
                 return
+            parent = instances[parent_spec.agg_id]
             if inst.node == parent_spec.node:
                 # Intra-node hand-off is a single fixed-latency hop — a
-                # flat callback on one timer instead of a full process
-                # (half the events of the generator path).
-                _intra_transfer(inst, parent_spec, weight)
+                # flat callback on one timer.
+                _intra_transfer(inst, parent, weight)
             else:
-                Process(env, _transfer(inst, parent_spec, weight), f"xfer:{inst.agg_id}")
+                DeliveryFlow(ctx, parent, inst.node, weight, inst.agg_id).emit(0.0)
 
-        def _intra_transfer(child: AggregatorInstance, parent_spec: AggregatorSpec, weight: float) -> None:
-            parent = instances[parent_spec.agg_id]
+        def _intra_transfer(child: AggregatorInstance, parent: AggregatorInstance, weight: float) -> None:
             src = child.node
             t0 = env._now
 
@@ -464,24 +475,6 @@ class RoundEngine:
 
             env.timeout(costs.intra_latency).callbacks.append(done)
 
-        def _transfer(child: AggregatorInstance, parent_spec: AggregatorSpec, weight: float):
-            parent = instances[parent_spec.agg_id]
-            src, dst = child.node, parent_spec.node
-            timeout = env.timeout
-            t0 = env._now
-            result.cross_node_transfers += 1
-            yield timeout(costs.inter_tx_latency)
-            nodes[src].cpu.charge("dataplane", costs.inter_tx_cpu)
-            yield fabric.transfer(src, dst, nbytes, label=child.agg_id)
-            req = ingress_res[dst].request()
-            yield req
-            yield timeout(costs.inter_rx_latency)
-            ingress_res[dst].release(req)
-            nodes[dst].cpu.charge("dataplane", costs.inter_rx_cpu)
-            if record is not None:
-                record(child.agg_id, "network", t0, env._now)
-            _deliver(parent, MailboxItem(weight, child.agg_id, True, env._now))
-
         def _deliver(inst: AggregatorInstance, item: MailboxItem) -> None:
             if not cfg.prewarm:
                 _create(inst)
@@ -491,6 +484,8 @@ class RoundEngine:
 
         def _create(inst: AggregatorInstance) -> None:
             self.lifecycle.ensure_created(inst, env, cfg, finished_on_node, admission)
+
+        ctx = _FlowContext(env, fabric, ingress_res, nodes, costs, nbytes, record, result, _deliver)
 
         agg_costs = AggregatorCosts(
             recv_client_latency=costs.recv_client_latency,
@@ -544,101 +539,30 @@ class RoundEngine:
         if remote_inputs:
             if not top_is_local:
                 raise ConfigError("remote_inputs require the top aggregator locally")
-            top_spec = plan.top
-
-            def _remote_xfer(agg_id: str, src: str, weight: float):
-                # The exact inter-node path of ``_transfer``, replayed from
-                # another partition's recorded emission: tx serialization,
-                # the shared fabric, the top node's ingress admission, rx.
-                timeout = env.timeout
-                t0 = env._now
-                result.cross_node_transfers += 1
-                yield timeout(costs.inter_tx_latency)
-                nodes[src].cpu.charge("dataplane", costs.inter_tx_cpu)
-                yield fabric.transfer(src, top_spec.node, nbytes, label=agg_id)
-                req = ingress_res[top_spec.node].request()
-                yield req
-                yield timeout(costs.inter_rx_latency)
-                ingress_res[top_spec.node].release(req)
-                nodes[top_spec.node].cpu.charge("dataplane", costs.inter_rx_cpu)
-                if record is not None:
-                    record(agg_id, "network", t0, env._now)
-                _deliver(
-                    instances[top_spec.agg_id],
-                    MailboxItem(weight, agg_id, True, env._now),
-                )
-
+            top = instances[plan.top.agg_id]
+            # Another partition's recorded emission takes the exact
+            # inter-node path a same-environment transfer takes.
             for agg_id, src_node, weight, emit_at in remote_inputs:
-                Process(
-                    env, _remote_xfer(agg_id, src_node, weight),
-                    f"xfer:{agg_id}", emit_at,
-                )
+                DeliveryFlow(ctx, top, src_node, weight, agg_id).emit(emit_at)
 
-        # -- update ingress processes -------------------------------------------
+        # -- update ingress flows ----------------------------------------------
         leaf_assignment = _assign_updates_to_leaves(
             updates, plan, locality_aware=cfg.locality_aware
         )
 
-        timeout = env.timeout
-        ingress_latency = costs.ingress_latency
-        ingress_cpu = costs.ingress_cpu
-
-        def _ingress(update: SimUpdate, leaf_id: str):
-            # started with delay=arrival_time — no leading arrival timeout.
-            # ``held`` tracks the admission slot currently claimed so a
-            # chaos interrupt (client dropout mid-ingress) releases it in
-            # the ``finally`` instead of leaking the slot forever.
-            node = update.node
-            res = ingress_res[node]
-            held = res.request()
-            try:
-                yield held
-                t0 = env._now
-                yield timeout(ingress_latency)
-                res.release(held)
-                held = None
-                nodes[node].cpu.charge("ingress", ingress_cpu)
-                if record is not None:
-                    record(f"{node}/gw", "network", t0, env._now)
-                leaf = instances[leaf_id]
-                if leaf.node != node:
-                    # Locality-agnostic placement (§2.3): the update was
-                    # queued on one node but its aggregator pod lives on
-                    # another — one full inter-node hop before the leaf can
-                    # consume it.
-                    result.cross_node_transfers += 1
-                    yield timeout(costs.inter_tx_latency)
-                    nodes[node].cpu.charge("dataplane", costs.inter_tx_cpu)
-                    yield fabric.transfer(node, leaf.node, nbytes, label=f"u{update.uid}")
-                    held = ingress_res[leaf.node].request()
-                    yield held
-                    yield timeout(costs.inter_rx_latency)
-                    ingress_res[leaf.node].release(held)
-                    held = None
-                    nodes[leaf.node].cpu.charge("dataplane", costs.inter_rx_cpu)
-                    if record is not None:
-                        record(f"u{update.uid}", "network", t0, env._now)
-                _deliver(leaf, MailboxItem(update.weight, update.client_id, False, env._now))
-                cb = tenant.on_delivery
-                if cb is not None:
-                    cb(update)
-            finally:
-                if held is not None:
-                    held.resource.release(held)
-
-        def _spawn_ingress(update: SimUpdate, delay: float) -> Process:
-            return Process(
-                env,
-                _ingress(update, leaf_assignment[update.uid]),
-                f"in:{update.uid}",
-                delay,
+        def _spawn_ingress(update: SimUpdate, delay: float) -> DeliveryFlow:
+            flow = DeliveryFlow(
+                ctx, instances[leaf_assignment[update.uid]], update.node,
+                update.weight, update.client_id, update,
             )
+            flow.arrive(delay)
+            return flow
 
         # The ingress stage decides arrival scheduling: one heap entry per
         # update (default), or a coalescing walker that wakes batches
         # (``gateway-coalesced``).  A coalescing stage fills this dict as
         # arrivals fire, so chaos hooks see only already-arrived updates.
-        ingress_procs: dict[int, Process] = self.ingress.install_arrivals(
+        ingress_procs: dict[int, DeliveryFlow] = self.ingress.install_arrivals(
             env, updates, _spawn_ingress
         )
 
@@ -655,6 +579,7 @@ class RoundEngine:
             result=result,
             record=record,
             create=_create,
+            flows=ctx,
         )
         return tenant
 
@@ -763,6 +688,215 @@ class RoundEngine:
         reserved += cfg.broker_reserved_cores * duration
         reserved += self.ingress.reserved_cpu(cfg, duration, result.nodes_used)
         return reserved
+
+
+class _FlowContext:
+    """What every delivery flow of one installed round shares."""
+
+    __slots__ = (
+        "env", "fabric", "ingress_res", "nodes", "costs", "nbytes", "record",
+        "result", "deliver", "on_delivery",
+    )
+
+    def __init__(
+        self,
+        env: Environment,
+        fabric: Fabric,
+        ingress_res: dict[str, Resource],
+        nodes: dict[str, WorkerNode],
+        costs: _CostTable,
+        nbytes: float,
+        record: Optional[Callable[[str, str, float, float], None]],
+        result: RoundResult,
+        deliver: Callable[[AggregatorInstance, MailboxItem], None],
+    ) -> None:
+        self.env = env
+        self.fabric = fabric
+        self.ingress_res = ingress_res
+        self.nodes = nodes
+        self.costs = costs
+        self.nbytes = nbytes
+        self.record = record
+        self.result = result
+        self.deliver = deliver
+        #: see :attr:`TenantRound.on_delivery`
+        self.on_delivery: Optional[Callable[[SimUpdate], None]] = None
+
+
+#: what a delivery flow waits on (``DeliveryFlow.pc``): its arrival, its
+#: emission, a gateway slot, the gateway step, the hop's tx serialization,
+#: the fabric, an rx admission slot and the rx step; then done
+(
+    _ARRIVAL, _EMISSION, _GATEWAY_SLOT, _GATEWAY, _TX, _FABRIC, _RX_SLOT, _RX,
+    _DELIVERED,
+) = range(9)
+
+
+class DeliveryFlow:
+    """One item's way into an aggregator's mailbox, run as kernel callbacks.
+
+    A client update *arrives*: it takes a gateway slot on its node, pays
+    the ingress step, and — when its leaf lives on another node
+    (locality-agnostic placement, §2.3) — makes one inter-node hop.  A
+    child's intermediate update is *emitted* straight onto the hop: tx
+    serialization, the shared fabric, an admission slot on the
+    destination node's ingress resource and the rx step.
+
+    Every wait registers :meth:`_resume` on the event it waits for, with
+    ``pc`` naming what it waits on.  Ingress flows are the chaos handles
+    of :attr:`TenantRound.ingress_procs`: :meth:`interrupt` drops the
+    client, releasing any admission slot the flow holds or queues for.
+    """
+
+    __slots__ = (
+        "ctx", "inst", "src", "weight", "source", "update", "pc", "wait", "held",
+        "t0", "label", "defused",
+    )
+
+    def __init__(
+        self,
+        ctx: _FlowContext,
+        inst: AggregatorInstance,
+        src: str,
+        weight: float,
+        source: str,
+        update: Optional[SimUpdate] = None,
+    ) -> None:
+        self.ctx = ctx
+        self.inst = inst
+        self.src = src
+        self.weight = weight
+        self.source = source
+        #: the client update an ingress flow carries (None: intermediate)
+        self.update = update
+        self.pc = _DELIVERED
+        self.wait: Optional[Event] = None
+        #: the admission request held or queued for, released on a drop
+        self.held = None
+        self.t0 = 0.0
+        self.label = source
+        self.defused = False
+
+    # -- starting --------------------------------------------------------------
+    def arrive(self, delay: float) -> None:
+        """Start the ingress path ``delay`` seconds from now."""
+        self._start(delay, _ARRIVAL)
+
+    def emit(self, delay: float) -> None:
+        """Start the inter-node hop ``delay`` seconds from now."""
+        self._start(delay, _EMISSION)
+
+    def _start(self, delay: float, pc: int) -> None:
+        self.pc = pc
+        self.wait = start = Timeout(self.ctx.env, delay)
+        start.callbacks.append(self._resume)
+
+    # -- chaos handle ----------------------------------------------------------
+    @property
+    def is_alive(self) -> bool:
+        return self.pc != _DELIVERED
+
+    def defuse(self) -> None:
+        """Mark the drop as expected: :meth:`interrupt` then ends the flow
+        quietly instead of raising :class:`Interrupt` out of the run."""
+        self.defused = True
+
+    def interrupt(self, cause: object = None) -> None:
+        """Drop the flow at the current instant (one wake event)."""
+        if self.pc == _DELIVERED:
+            return
+        wake = Event(self.ctx.env)
+        wake.callbacks.append(self._kill)
+        wake.succeed(cause)
+
+    def _kill(self, wake: Event) -> None:
+        pc = self.pc
+        if pc == _DELIVERED:
+            return  # delivered before the wake fired
+        wait = self.wait
+        if pc <= _EMISSION:
+            self.ctx.env.cancel(wait)  # never started
+        else:
+            wait.callbacks.remove(self._resume)
+        held = self.held
+        if held is not None:
+            held.resource.release(held)
+            self.held = None
+        self.pc = _DELIVERED
+        self.wait = None
+        if not self.defused:
+            raise Interrupt(wake._value)
+
+    # -- the flow --------------------------------------------------------------
+    def _await(self, event: Event, pc: int) -> None:
+        self.pc = pc
+        self.wait = event
+        event.callbacks.append(self._resume)
+
+    def _resume(self, _event: Event) -> None:
+        ctx = self.ctx
+        env = ctx.env
+        costs = ctx.costs
+        pc = self.pc
+        if pc == _ARRIVAL:
+            self.held = ctx.ingress_res[self.src].request()
+            self._await(self.held, _GATEWAY_SLOT)
+        elif pc == _GATEWAY_SLOT:
+            self.t0 = env._now
+            self._await(Timeout(env, costs.ingress_latency), _GATEWAY)
+        elif pc == _GATEWAY:
+            src = self.src
+            ctx.ingress_res[src].release(self.held)
+            self.held = None
+            ctx.nodes[src].cpu.charge("ingress", costs.ingress_cpu)
+            if ctx.record is not None:
+                ctx.record(f"{src}/gw", "network", self.t0, env._now)
+            if self.inst.node == src:
+                self._deliver()
+            else:
+                # The update was queued on one node but its aggregator
+                # pod lives on another: one full inter-node hop first.
+                self.label = f"u{self.update.uid}"
+                self._hop()
+        elif pc == _EMISSION:
+            self.t0 = env._now
+            self._hop()
+        elif pc == _TX:
+            ctx.nodes[self.src].cpu.charge("dataplane", costs.inter_tx_cpu)
+            self._await(
+                ctx.fabric.transfer(self.src, self.inst.node, ctx.nbytes, label=self.label),
+                _FABRIC,
+            )
+        elif pc == _FABRIC:
+            self.held = ctx.ingress_res[self.inst.node].request()
+            self._await(self.held, _RX_SLOT)
+        elif pc == _RX_SLOT:
+            self._await(Timeout(env, costs.inter_rx_latency), _RX)
+        else:  # _RX
+            dst = self.inst.node
+            ctx.ingress_res[dst].release(self.held)
+            self.held = None
+            ctx.nodes[dst].cpu.charge("dataplane", costs.inter_rx_cpu)
+            if ctx.record is not None:
+                ctx.record(self.label, "network", self.t0, env._now)
+            self._deliver()
+
+    def _hop(self) -> None:
+        self.ctx.result.cross_node_transfers += 1
+        self._await(Timeout(self.ctx.env, self.ctx.costs.inter_tx_latency), _TX)
+
+    def _deliver(self) -> None:
+        ctx = self.ctx
+        update = self.update
+        ctx.deliver(
+            self.inst, MailboxItem(self.weight, self.source, update is None, ctx.env._now)
+        )
+        if update is not None:
+            hook = ctx.on_delivery
+            if hook is not None:
+                hook(update)
+        self.pc = _DELIVERED
+        self.wait = None
 
 
 def _assign_updates_to_leaves(

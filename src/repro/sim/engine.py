@@ -8,8 +8,19 @@ The engine is deliberately minimal but complete for our workloads:
   then *processed* (callbacks run) at their scheduled time.
 * **Processes** wrap generators.  A process waits on whatever event it
   yields; when that event fires, the event's value is sent back into the
-  generator.  Raising :class:`Interrupt` into a process models preemption
-  (used for aggregator termination during hierarchy re-planning).
+  generator.  Raising :class:`Interrupt` into a process models preemption.
+  They run the once-per-round or once-per-tick bodies (replay dispatch,
+  controller ticks, chaos timelines, recovery sweeps, arrival walkers).
+* **Callback flows** run what happens per update or per aggregator
+  instance (ingress, inter-node hops, the Recv/Agg loop; see
+  :mod:`repro.core.roundsim` and :mod:`repro.core.aggregator`).  Each is
+  a step machine that appends its continuation to the event it waits
+  for — the kernel simply fires events to registrants — and pays no
+  generator resume, type check or per-wait process bookkeeping.  To keep
+  same-instant tie order identical to a process, a flow pushes exactly
+  the events a process would: one start event when spawned and one wake
+  event per interrupt.  (A process waiting on an already-processed event
+  pushes one immediate event; no flow ever waits on one.)
 * **Determinism**: ties in time are broken by insertion order, so repeated
   runs with the same seed produce identical traces — required for the
   experiment harness to be reproducible.

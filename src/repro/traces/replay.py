@@ -462,7 +462,10 @@ class TraceReplayEngine:
         exactly.
         """
         cfg = self.config
-        rng = self._rngs.stream(f"participants:{ev.tenant}:{ev.round_id}")
+        # Derived, not memoized: the round draws from its stream in this
+        # one call, and a registry entry per round would grow with the
+        # replay's history.
+        rng = make_rng(self._rngs.seed, f"participants:{ev.tenant}:{ev.round_id}")
         ctx = self._selection_context(ev)
         picked = self._selection.select(ctx, rng)
         if len(picked) == 0:

@@ -143,6 +143,22 @@ def test_warm_pool_turns_over_across_served_rounds():
     assert platform.engine.lifecycle.warm.total() > 0
 
 
+def test_replay_rng_state_does_not_grow_with_rounds():
+    """Per-round participant streams are derived on use, not memoized in
+    the replay's registry for its lifetime."""
+
+    def streams_after(rounds: int) -> int:
+        trace = Trace(
+            events=[TraceEvent(at=5.0 * i, round_id=i) for i in range(rounds)],
+            horizon=5.0 * rounds,
+        )
+        engine = _replay(trace, ReplayConfig(round_updates=2, nbytes=RESNET18_BYTES))
+        assert engine.run().row()["rounds"] == rounds
+        return len(engine._rngs._streams)
+
+    assert streams_after(480) == streams_after(240)
+
+
 # -------------------------------------------------------------- admission
 def test_bounded_queue_rejects_overflow():
     cfg = ReplayConfig(round_updates=6, max_inflight=1, queue_limit=0, slo_target_s=15.0)
