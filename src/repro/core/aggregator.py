@@ -79,7 +79,8 @@ class AggregatorInstance:
         "env", "agg_id", "node", "role", "fan_in", "costs", "eager", "_charge",
         "_on_output", "_record", "mailbox", "state", "stats", "_created",
         "_ready_event", "_total_weight", "retain_inputs", "_consumed",
-        # the running incarnation's loop state
+        # the running incarnation's loop state: ``_pc`` and ``_wait`` (the
+        # event the loop waits on) are set at spawn, the rest when it starts
         "_pc", "_wait", "_goal", "_received", "_aggregated", "_pending",
         "_retain", "_item", "_t0",
     )
@@ -124,16 +125,6 @@ class AggregatorInstance:
         #: instance).  Off by default — fault-free rounds pay nothing.
         self.retain_inputs = False
         self._consumed: list[MailboxItem] = []
-        self._pc = _DONE
-        #: the event the loop waits on (the start event before it fired)
-        self._wait: Event | None = None
-        self._goal = 0
-        self._received = 0
-        self._aggregated = 0
-        self._pending: deque[MailboxItem] | None = None
-        self._retain: list[MailboxItem] | None = None
-        self._item: MailboxItem | None = None
-        self._t0 = 0.0
         self._spawn()
 
     # -- lifecycle ------------------------------------------------------------

@@ -461,7 +461,7 @@ class RoundEngine:
                 # flat callback on one timer.
                 _intra_transfer(inst, parent, weight)
             else:
-                DeliveryFlow(ctx, parent, inst.node, weight, inst.agg_id).emit(0.0)
+                DeliveryFlow(ctx, parent, inst.node, weight, inst.agg_id).start(0.0)
 
         def _intra_transfer(child: AggregatorInstance, parent: AggregatorInstance, weight: float) -> None:
             src = child.node
@@ -543,7 +543,7 @@ class RoundEngine:
             # Another partition's recorded emission takes the exact
             # inter-node path a same-environment transfer takes.
             for agg_id, src_node, weight, emit_at in remote_inputs:
-                DeliveryFlow(ctx, top, src_node, weight, agg_id).emit(emit_at)
+                DeliveryFlow(ctx, top, src_node, weight, agg_id).start(emit_at)
 
         # -- update ingress flows ----------------------------------------------
         leaf_assignment = _assign_updates_to_leaves(
@@ -551,12 +551,10 @@ class RoundEngine:
         )
 
         def _spawn_ingress(update: SimUpdate, delay: float) -> DeliveryFlow:
-            flow = DeliveryFlow(
+            return DeliveryFlow(
                 ctx, instances[leaf_assignment[update.uid]], update.node,
                 update.weight, update.client_id, update,
-            )
-            flow.arrive(delay)
-            return flow
+            ).start(delay)
 
         # The ingress stage decides arrival scheduling: one heap entry per
         # update (default), or a coalescing walker that wakes batches
@@ -690,37 +688,21 @@ class RoundEngine:
         return reserved
 
 
+@dataclass(slots=True)
 class _FlowContext:
     """What every delivery flow of one installed round shares."""
 
-    __slots__ = (
-        "env", "fabric", "ingress_res", "nodes", "costs", "nbytes", "record",
-        "result", "deliver", "on_delivery",
-    )
-
-    def __init__(
-        self,
-        env: Environment,
-        fabric: Fabric,
-        ingress_res: dict[str, Resource],
-        nodes: dict[str, WorkerNode],
-        costs: _CostTable,
-        nbytes: float,
-        record: Optional[Callable[[str, str, float, float], None]],
-        result: RoundResult,
-        deliver: Callable[[AggregatorInstance, MailboxItem], None],
-    ) -> None:
-        self.env = env
-        self.fabric = fabric
-        self.ingress_res = ingress_res
-        self.nodes = nodes
-        self.costs = costs
-        self.nbytes = nbytes
-        self.record = record
-        self.result = result
-        self.deliver = deliver
-        #: see :attr:`TenantRound.on_delivery`
-        self.on_delivery: Optional[Callable[[SimUpdate], None]] = None
+    env: Environment
+    fabric: Fabric
+    ingress_res: dict[str, Resource]
+    nodes: dict[str, WorkerNode]
+    costs: _CostTable
+    nbytes: float
+    record: Optional[Callable[[str, str, float, float], None]]
+    result: RoundResult
+    deliver: Callable[[AggregatorInstance, MailboxItem], None]
+    #: see :attr:`TenantRound.on_delivery`
+    on_delivery: Optional[Callable[[SimUpdate], None]] = None
 
 
 #: what a delivery flow waits on (``DeliveryFlow.pc``): its arrival, its
@@ -777,19 +759,13 @@ class DeliveryFlow:
         self.label = source
         self.defused = False
 
-    # -- starting --------------------------------------------------------------
-    def arrive(self, delay: float) -> None:
-        """Start the ingress path ``delay`` seconds from now."""
-        self._start(delay, _ARRIVAL)
-
-    def emit(self, delay: float) -> None:
-        """Start the inter-node hop ``delay`` seconds from now."""
-        self._start(delay, _EMISSION)
-
-    def _start(self, delay: float, pc: int) -> None:
-        self.pc = pc
+    def start(self, delay: float) -> "DeliveryFlow":
+        """Start the flow ``delay`` seconds from now: an update's ingress
+        path, or an intermediate's hop."""
+        self.pc = _EMISSION if self.update is None else _ARRIVAL
         self.wait = start = Timeout(self.ctx.env, delay)
         start.callbacks.append(self._resume)
+        return self
 
     # -- chaos handle ----------------------------------------------------------
     @property

@@ -126,10 +126,11 @@ class IngressStage:
         updates: list[SimUpdate],
         spawn: Callable[[SimUpdate, float], object],
     ) -> dict[int, object]:
-        """Start the per-update ingress work; returns uid → process.
+        """Start the per-update ingress work; returns uid → ingress flow.
 
-        ``spawn(update, delay)`` starts one update's ingress process after
-        ``delay`` seconds and returns it.  The default is one scheduler
+        ``spawn(update, delay)`` starts one update's ingress flow after
+        ``delay`` seconds and returns its handle (a
+        :class:`repro.core.roundsim.DeliveryFlow`).  The default is one scheduler
         entry per update — exactly the engine's historical behaviour.
         Stages may coalesce instead (see :class:`CoalescedGatewayIngress`);
         a coalescing stage fills the returned dict lazily, as arrivals
