@@ -858,6 +858,8 @@ class DeliveryFlow:
             self._deliver()
 
     def _hop(self) -> None:
+        """Enter the inter-node hop — the one path an update on a foreign
+        leaf, a child's intermediate and a remote partition's input take."""
         self.ctx.result.cross_node_transfers += 1
         self._await(Timeout(self.ctx.env, self.ctx.costs.inter_tx_latency), _TX)
 
