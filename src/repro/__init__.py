@@ -21,8 +21,7 @@ Subpackages:
   parallel campaign runner;
 * :mod:`repro.experiments` — every paper figure and extension scenario,
   runnable via ``python -m repro.experiments``;
-* :mod:`repro.perf` — engine counters, ``--profile`` collection, and the
-  ``BENCH_engine.json`` trajectory recorder;
+* :mod:`repro.perf` — engine counters and ``--profile`` collection;
 * :mod:`repro.chaos` — seeded declarative fault injection for live rounds;
 * :mod:`repro.traces` — arrival/availability traces, the arrival-driven
   serving loop with SLO analytics, and multi-core sharded replay.

@@ -9,11 +9,8 @@ reproduced.
 
 from repro.cluster.network import Fabric, Flow, ProcessorSharingLink
 from repro.cluster.node import NodeSpec, WorkerNode
-from repro.cluster.topology import Cluster, ClusterSpec
 
 __all__ = [
-    "Cluster",
-    "ClusterSpec",
     "Fabric",
     "Flow",
     "NodeSpec",

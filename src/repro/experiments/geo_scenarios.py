@@ -111,8 +111,8 @@ def _geo_config() -> ReplayConfig:
 def _followsun_engine(
     system: str, n_regions: int, seed: int, fault_plan: FaultPlan | None = None
 ) -> GeoReplayEngine:
-    """Build (without running) one federation cell — the scenarios and
-    ``repro.perf.bench``'s ``macro_geo_followsun`` share this."""
+    """Build (without running) one federation cell — both geo scenarios
+    share this."""
     topology = _topology(n_regions)
     config = _geo_config()
     if fault_plan is not None:

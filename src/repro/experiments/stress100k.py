@@ -21,8 +21,7 @@ first identical-shape round), and the **shards axis is a determinism
 probe**: the partitioned protocol is exact, so ACT, CPU, and every
 counter must be identical at shards=1/2/4 — the render flags any drift.
 Wall-clock speedup is deliberately *not* a scenario row (rows must be
-byte-deterministic across hosts); the recorded perf numbers live in
-``macro_stress100k`` (``python -m repro.perf.bench --only stress100k``).
+byte-deterministic across hosts); ``benchmarks/e2e/`` measures speed.
 """
 
 from __future__ import annotations

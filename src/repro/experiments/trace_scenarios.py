@@ -194,7 +194,7 @@ DIURNAL_SHARD_AXIS = (1, 2, 4)
 
 def _diurnal_replay(system: str, seed: int) -> TraceReplayEngine:
     """Build (without running) the diurnal cell's replay engine — the
-    scenario and ``repro.perf.bench``'s sharded macro share this."""
+    scenario and the golden and telemetry tests share this."""
     traces = [
         diurnal_trace(
             DIURNAL_BASE_RATE,

@@ -1,12 +1,10 @@
-"""Engine telemetry and benchmarks.
+"""Engine telemetry.
 
-* :mod:`repro.perf.counters` — the engine's self-accounting (events
-  processed, heap pushes/pops, dead-timer skips, peak queue depth) and the
-  :func:`collect` context manager that aggregates it across environments.
-  The campaign runner's ``--profile`` flag is built on this.
-* :mod:`repro.perf.bench` — engine micro-benchmarks plus the ``stress50``
-  macro-benchmark; ``python -m repro.perf.bench --out BENCH_engine.json``
-  records the perf trajectory.
+:mod:`repro.perf.counters` holds the engine's self-accounting (events
+processed, heap pushes/pops, dead-timer skips, peak queue depth) and the
+:func:`collect` context manager that aggregates it across environments.
+The campaign runner's ``--profile`` flag and ``benchmarks/e2e/`` are
+built on this.
 """
 
 from repro.perf.counters import EngineCounters, PerfCollector, collect

@@ -11,10 +11,10 @@ them across every environment a piece of code creates:
         run_cell("LIFL", 900)
     print(perf.counters().as_dict())
 
-The collector is what the campaign runner's ``--profile`` flag uses; the
-benchmark suite reads the same counters to assert structural properties
-(e.g. that superseded processor-sharing timers are skipped dead instead of
-being processed).
+The collector is what the campaign runner's ``--profile`` flag and the
+``benchmarks/e2e/`` runner use; ``tests/test_perf_engine.py`` reads the
+same counters to assert structural properties (e.g. that superseded
+processor-sharing timers are skipped dead instead of being processed).
 
 This module must stay import-light: the engine imports it at module load,
 so it cannot import anything that (transitively) imports the engine.

@@ -1,14 +1,12 @@
 """Self-contained campaign HTML reports.
 
 :func:`build_report` renders one standalone HTML document — inline CSS,
-inline SVG, no external assets — from up to three inputs:
+inline SVG, no external assets — from up to two inputs:
 
 * the campaign's ``--out`` JSON documents (SLO summary tables and the
   shed/defer/abort outcome bars),
 * a recorded telemetry JSONL stream (per-tenant cumulative attainment
-  curves as small multiples, controller-action/chaos timelines),
-* a ``BENCH_engine.json`` trajectory (per-metric sparklines, shared with
-  ``python -m repro.perf.bench --trend``).
+  curves as small multiples, controller-action/chaos timelines).
 
 ``python -m repro.traces.report results/ --html out.html`` is the CLI.
 
@@ -23,8 +21,6 @@ from __future__ import annotations
 
 import html as html_mod
 from typing import Any, Iterable, Sequence
-
-from repro.perf.bench import trend_series
 
 __all__ = ["build_report", "split_runs"]
 
@@ -78,18 +74,11 @@ svg .axis { stroke: var(--grid); stroke-width: 1; }
 .bar-row { display: grid; grid-template-columns: 16rem 1fr; gap: 0.8rem;
            align-items: center; margin: 0.3rem 0; font-size: 0.85rem;
            color: var(--ink-2); }
-.spark { vertical-align: middle; }
 """
 
 
 def _esc(value: Any) -> str:
     return html_mod.escape(str(value))
-
-
-def _fmt(value: float) -> str:
-    if value >= 10_000:
-        return f"{value:,.0f}"
-    return f"{value:.3g}"
 
 
 # ---------------------------------------------------------------- stream
@@ -200,26 +189,6 @@ def _timeline_svg(lanes: list[tuple[str, list[dict]]], t_max: float) -> str:
         f'<text x="{w - 8}" y="{h - 6}" text-anchor="end">{t_max:.0f}s</text></svg>'
     )
     return "".join(parts)
-
-
-def _spark_svg(values: Sequence[float | None]) -> str:
-    """Inline sparkline for one benchmark metric's trajectory."""
-    w, h = 120, 26
-    known = [(i, v) for i, v in enumerate(values) if v is not None]
-    if not known:
-        return ""
-    top = max(v for _, v in known) or 1.0
-    n = max(len(values) - 1, 1)
-    path = " ".join(
-        f"{4 + i / n * (w - 8):.1f},{(h - 4) - v / top * (h - 8):.1f}" for i, v in known
-    )
-    x_last, y_last = known[-1]
-    return (
-        f'<svg class="spark" width="{w}" height="{h}" viewBox="0 0 {w} {h}">'
-        f'<polyline points="{path}" fill="none" stroke="var(--s1)" stroke-width="2"/>'
-        f'<circle cx="{4 + x_last / n * (w - 8):.1f}"'
-        f' cy="{(h - 4) - y_last / top * (h - 8):.1f}" r="3" fill="var(--s1)"/></svg>'
-    )
 
 
 # -------------------------------------------------------------- sections
@@ -400,33 +369,10 @@ def _section_telemetry(header: dict, runs: list[dict]) -> str:
     return "".join(parts)
 
 
-def _section_bench(bench: dict) -> str:
-    series = trend_series(bench)
-    if not series:
-        return ""
-    labels = [label for label, _ in series[0]["points"]]
-    parts = [
-        "<h2>engine benchmark trajectory</h2>",
-        f'<p class="note">labels, oldest first: {_esc(" → ".join(labels))}</p>',
-        "<table><thead><tr><th>metric</th><th>trajectory</th>"
-        "<th>last</th><th>unit</th></tr></thead><tbody>",
-    ]
-    for s in series:
-        values = [v for _, v in s["points"]]
-        measured = [v for v in values if v is not None]
-        parts.append(
-            f"<tr><td>{_esc(s['metric'])}</td><td>{_spark_svg(values)}</td>"
-            f"<td>{_fmt(measured[-1])}</td><td>{_esc(s['unit'])}</td></tr>"
-        )
-    parts.append("</tbody></table>")
-    return "".join(parts)
-
-
 # ------------------------------------------------------------------ page
 def build_report(
     docs: list[dict],
     telemetry: list[dict] | None = None,
-    bench: dict | None = None,
     title: str = "campaign report",
 ) -> str:
     """The complete standalone HTML document, as a string."""
@@ -437,8 +383,6 @@ def build_report(
         header, runs = split_runs(telemetry)
         if runs:
             body.append(_section_telemetry(header, runs))
-    if bench:
-        body.append(_section_bench(bench))
     if len(body) == 1:
         body.append('<p class="note">nothing to report — no inputs carried data.</p>')
     return (

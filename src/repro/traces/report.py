@@ -11,7 +11,7 @@ Usage::
     python -m repro.traces.report results/trace-poisson-slo.json
     python -m repro.traces.report results/ --slo-target 20  # re-score
     python -m repro.traces.report results/ --html report.html \\
-        --telemetry run.jsonl --bench BENCH_engine.json     # HTML report
+        --telemetry run.jsonl                               # HTML report
 """
 
 from __future__ import annotations
@@ -202,15 +202,9 @@ def main(argv: list[str]) -> int:
         metavar="FILE",
         help="telemetry JSONL stream to chart in the HTML report",
     )
-    parser.add_argument(
-        "--bench",
-        default=None,
-        metavar="FILE",
-        help="BENCH_*.json trajectory to sparkline in the HTML report",
-    )
     args = parser.parse_args(argv[1:])
     docs = _load_docs(args.path)
-    if not docs and not (args.html and (args.telemetry or args.bench)):
+    if not docs and not (args.html and args.telemetry):
         print(f"no campaign JSON found under {args.path}")
         return 2
     if docs:
@@ -225,11 +219,7 @@ def main(argv: list[str]) -> int:
         telemetry = (
             [obj for _, obj in _iter_lines(args.telemetry)] if args.telemetry else None
         )
-        bench = None
-        if args.bench:
-            with open(args.bench, encoding="utf-8") as fh:
-                bench = json.load(fh)
-        page = build_report(docs, telemetry=telemetry, bench=bench)
+        page = build_report(docs, telemetry=telemetry)
         with open(args.html, "w", encoding="utf-8") as fh:
             fh.write(page)
         print(f"HTML report written to {args.html}")

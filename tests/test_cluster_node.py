@@ -1,12 +1,11 @@
-"""Worker nodes: CPU ledger, shm accounting, cluster assembly."""
+"""Worker nodes: CPU ledger and shm accounting."""
 
 from __future__ import annotations
 
 import pytest
 
 from repro.cluster.node import CpuAccount, NodeSpec, WorkerNode
-from repro.cluster.topology import Cluster, ClusterSpec
-from repro.common.errors import ConfigError, SimulationError
+from repro.common.errors import SimulationError
 
 
 def test_node_spec_defaults_match_testbed():
@@ -62,25 +61,3 @@ def test_shm_accounting_and_high_water(env):
     with pytest.raises(SimulationError):
         node.shm_free(999.0)
 
-
-def test_cluster_builds_named_nodes(env):
-    cluster = Cluster(env, ClusterSpec(node_count=3))
-    assert cluster.node_names == ["node0", "node1", "node2"]
-    assert cluster.node("node1").spec.cores == 64
-    with pytest.raises(ConfigError):
-        cluster.node("node9")
-
-
-def test_cluster_cpu_rollup(env):
-    cluster = Cluster(env, ClusterSpec(node_count=2))
-    cluster.node("node0").charge_cpu(1.0, "agg")
-    cluster.node("node1").charge_cpu(2.0, "agg")
-    cluster.node("node1").charge_cpu(3.0, "ingress")
-    assert cluster.total_cpu_seconds() == pytest.approx(6.0)
-    assert cluster.total_cpu_seconds("agg") == pytest.approx(3.0)
-    assert cluster.cpu_breakdown() == {"agg": 3.0, "ingress": 3.0}
-
-
-def test_cluster_spec_validation(env):
-    with pytest.raises(ConfigError):
-        ClusterSpec(node_count=0)

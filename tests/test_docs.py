@@ -1,10 +1,13 @@
 """The documentation suite stays real: the README's quickstart block is
 extractable (CI executes it verbatim), every file the README links
-exists, and the scenario-authoring guide's companion example runs.
+exists, every ``python -m repro.…`` module the docs name exists, and the
+scenario-authoring guide's companion example runs.
 """
 
 from __future__ import annotations
 
+import glob
+import importlib.util
 import os
 import re
 import subprocess
@@ -36,6 +39,28 @@ def test_readme_quickstart_block_is_extractable():
 def test_readme_links_resolve():
     for rel in re.findall(r"\]\(([^)#:]+)\)", _readme()):
         assert os.path.exists(os.path.join(REPO, rel)), f"README links missing {rel}"
+
+
+def _module_exists(name: str) -> bool:
+    try:
+        return importlib.util.find_spec(name) is not None
+    except ModuleNotFoundError:  # a missing parent package
+        return False
+
+
+def test_documented_modules_resolve():
+    """A doc that still runs a deleted module fails here, not in a user's
+    shell."""
+    docs = ["README.md", os.path.join("benchmarks", "README.md")]
+    docs += sorted(glob.glob("docs/*.md", root_dir=REPO))
+    named = set()
+    for rel in docs:
+        with open(os.path.join(REPO, rel), encoding="utf-8") as fh:
+            for module in re.findall(r"python\s+-m\s+(repro(?:\.\w+)*)", fh.read()):
+                named.add((rel, module))
+    assert named, "no documented python -m repro... command found"
+    missing = sorted((rel, module) for rel, module in named if not _module_exists(module))
+    assert not missing, f"docs name modules that do not exist: {missing}"
 
 
 def test_docs_exist_and_anchor_the_new_subsystem():

@@ -91,6 +91,21 @@ def test_counters_from_environment_snapshot(env):
     assert snap.environments == 1
 
 
+def test_engine_counters_conserve_heap_traffic():
+    """Not a timing benchmark: structural check that pushes == pops at
+    quiescence and processed+dead == pops, on a mixed workload."""
+    env = Environment()
+
+    def worker(i):
+        yield env.timeout(i * 0.1)
+
+    for i in range(100):
+        env.process(worker(i))
+    env.run()
+    assert env.heap_pushes == env.heap_pops
+    assert env.events_processed + env.dead_timer_skips == env.heap_pops
+
+
 # ---- allocation-lean process paths ----------------------------------------------
 
 

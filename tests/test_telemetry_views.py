@@ -1,11 +1,10 @@
-"""The stream's consumer layers: watch view, HTML report, bench trend,
-scenario tags, and the atomic ``--profile`` blocks."""
+"""The stream's consumer layers: watch view, HTML report, scenario tags,
+and the atomic ``--profile`` blocks."""
 
 from __future__ import annotations
 
 import json
 
-from repro.perf.bench import render_trend, trend_series
 from repro.telemetry.html import build_report, split_runs
 from repro.telemetry.watch import WatchState, render_frame, sparkline
 
@@ -136,16 +135,6 @@ def _campaign_doc() -> dict:
     }
 
 
-def _bench_doc() -> dict:
-    return {
-        "benchmark": "engine",
-        "runs": [
-            {"label": "pr1", "metrics": {"macro_stress50": {"LIFL": {"seconds": 0.10}}}},
-            {"label": "pr2", "metrics": {"macro_stress50": {"LIFL": {"seconds": 0.08}}}},
-        ],
-    }
-
-
 def test_split_runs_brackets_records():
     header, runs = split_runs(_stream())
     assert header["campaign_seed"] == 3
@@ -155,11 +144,10 @@ def test_split_runs_brackets_records():
 
 
 def test_build_report_all_sections():
-    page = build_report([_campaign_doc()], telemetry=_stream(), bench=_bench_doc())
+    page = build_report([_campaign_doc()], telemetry=_stream())
     for needle in (
         "<!DOCTYPE html>", "trace-x", "round outcomes", "telemetry streams",
         "tenant 0", "tenant 1", "chaos: partition", "action: scale-up",
-        "engine benchmark trajectory", "stress50/LIFL",
         "prefers-color-scheme: dark", "var(--s1)", 'stroke-width="2"',
     ):
         assert needle in page, f"{needle!r} missing from report"
@@ -178,35 +166,6 @@ def test_build_report_escapes_labels():
 def test_build_report_empty_inputs():
     page = build_report([])
     assert "nothing to report" in page
-
-
-# ------------------------------------------------------------------ trend
-def test_trend_series_tracks_labels_and_gaps():
-    series = trend_series(_bench_doc())
-    assert len(series) == 1
-    entry = series[0]
-    assert entry["metric"] == "stress50/LIFL" and entry["unit"] == "ms"
-    assert entry["points"] == [("pr1", 100.0), ("pr2", 80.0)]
-
-
-def test_render_trend_reports_delta():
-    text = render_trend(_bench_doc())
-    assert "[0] pr1" in text and "[1] pr2" in text
-    assert "100 -> 80" in text
-    assert "(last vs prev: -20.0%)" in text
-
-
-def test_render_trend_empty_doc():
-    assert render_trend({"runs": []}) == "no labelled runs in trajectory"
-
-
-def test_trend_cli_reads_committed_trajectory(capsys):
-    from repro.perf.bench import main
-
-    assert main(["bench", "--trend", "--out", "BENCH_engine.json"]) == 0
-    out = capsys.readouterr().out
-    assert "trajectory across" in out
-    assert "stress50/LIFL" in out
 
 
 # ------------------------------------------------------------------- tags
@@ -300,11 +259,11 @@ def test_campaign_telemetry_jsonl_end_to_end(tmp_path, capsys):
     html_path = tmp_path / "report.html"
     code = report_main([
         "report", str(out_dir), "--html", str(html_path),
-        "--telemetry", str(stream), "--bench", "BENCH_engine.json",
+        "--telemetry", str(stream),
     ])
     assert code == 0
     page = html_path.read_text()
-    assert "telemetry streams" in page and "engine benchmark trajectory" in page
+    assert "telemetry streams" in page
     capsys.readouterr()
 
 
