@@ -10,8 +10,8 @@ Subpackages:
   shared memory, sidecars, brokers, gateways);
 * :mod:`repro.runtime` — the **real** node runtime: shared-memory object
   store, sockmap/SKMSG routing, gateways, metrics maps, checkpoints;
-* :mod:`repro.controlplane` — placement, hierarchy planning, autoscaling,
-  reuse, TAG, coordinator, per-node agents;
+* :mod:`repro.controlplane` — placement, hierarchy planning, EWMA queue
+  estimates, TAG, metrics server, per-node agents, reactive controller;
 * :mod:`repro.fl` — FedAvg (+ FedProx/FedAdam/FedYogi/FedAdagrad), real
   NumPy training, synthetic non-IID federated datasets, clients, selection;
 * :mod:`repro.workloads` — FedScale-like populations and arrival traces;

@@ -1,35 +1,31 @@
 """LIFL's control plane (§5).
 
-Pure-logic implementations of the orchestration algorithms — the exact code
-under test in Fig. 8 and the §6.1 overhead measurements:
+Pure-logic implementations of the orchestration algorithms.  The
+simulated platforms (:mod:`repro.core.platform`) reach placement and
+hierarchy planning from every round, which is how Fig. 8's ablation
+switches exercise them; warm reuse is simulated by the lifecycle stage in
+:mod:`repro.core.stages`.
 
 * :mod:`repro.controlplane.placement` — locality-aware placement as
   bin-packing over residual service capacity (§5.1): BestFit (LIFL),
   FirstFit, WorstFit (≈ Knative "least connection", the SL-H baseline);
 * :mod:`repro.controlplane.hierarchy` — two-level k-ary hierarchy plans per
   node (§5.2);
-* :mod:`repro.controlplane.autoscaler` — hierarchy-aware autoscaling with
-  EWMA-smoothed queue estimates (§5.2), plus the threshold autoscaler
-  baseline (§2.3);
-* :mod:`repro.controlplane.reuse` — opportunistic reuse of warm aggregator
-  runtimes (§5.3);
+* :mod:`repro.controlplane.autoscaler` — the EWMA queue estimator that
+  smooths the planner's input (§5.2), timed by the §6.1 overhead
+  measurements;
 * :mod:`repro.controlplane.tag` — the Topology Abstraction Graph used for
   fine-grained control (Appendix D);
 * :mod:`repro.controlplane.metrics` — the metrics server fed by the
   eBPF-sidecar metrics maps;
-* :mod:`repro.controlplane.agent` / :mod:`repro.controlplane.coordinator` —
-  the per-node agent and the cluster-wide coordinator tying it together;
+* :mod:`repro.controlplane.agent` — the per-node agent that drives the
+  real shared-memory runtime (:mod:`repro.runtime`);
 * :mod:`repro.controlplane.reactive` — the closed-loop reactive controller
   the trace replay runs in virtual time: warm-pool scaling, per-tenant
   admission limits, chaos-aware placement, and graceful shedding.
 """
 
-from repro.controlplane.autoscaler import (
-    EwmaEstimator,
-    HierarchyAwareAutoscaler,
-    ThresholdAutoscaler,
-)
-from repro.controlplane.coordinator import Coordinator, OrchestrationConfig
+from repro.controlplane.autoscaler import EwmaEstimator
 from repro.controlplane.hierarchy import (
     AggregatorSpec,
     HierarchyPlan,
@@ -57,7 +53,6 @@ from repro.controlplane.placement import (
     WorstFitPlacer,
     make_placer,
 )
-from repro.controlplane.reuse import RuntimeHandle, WarmPool
 from repro.controlplane.tag import Channel, TagGraph, TagNode
 
 __all__ = [
@@ -69,25 +64,19 @@ __all__ = [
     "Controller",
     "ControllerConfig",
     "ControllerReport",
-    "Coordinator",
     "DeadlineExceeded",
     "EwmaEstimator",
     "FirstFitPlacer",
-    "HierarchyAwareAutoscaler",
     "HierarchyPlan",
     "MetricsServer",
     "NodeCapacity",
     "NodeHierarchy",
     "NodeMetrics",
-    "OrchestrationConfig",
     "Placer",
     "PlacementPlan",
     "Role",
-    "RuntimeHandle",
     "TagGraph",
     "TagNode",
-    "ThresholdAutoscaler",
-    "WarmPool",
     "WorstFitPlacer",
     "make_placer",
     "plan_hierarchy",

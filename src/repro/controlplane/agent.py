@@ -2,8 +2,7 @@
 
 Deployed on every worker node, the agent:
 
-* manages the lifecycle of local aggregators (create / terminate), following
-  coordinator instructions;
+* manages the lifecycle of local aggregators (create / terminate);
 * owns the shared-memory object store (allocation / recycling / destruction,
   §4.1) and submits model checkpoints (Appendix B);
 * programs the node's routing state — sockmap entries and SKMSG routes for
@@ -66,9 +65,6 @@ class NodeAgent:
             raise RoutingError(f"agent {self.node}: {agg_id!r} is not local")
         self.sockmap.delete(agg_id)
         self._local_aggregators.discard(agg_id)
-
-    def local_aggregators(self) -> set[str]:
-        return set(self._local_aggregators)
 
     # -- route programming (online hierarchy update, App. A) -----------------
     def apply_routes(

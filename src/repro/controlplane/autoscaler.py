@@ -1,23 +1,15 @@
-"""Autoscaling: hierarchy-aware (LIFL, §5.2) vs threshold-based (baseline).
+"""The EWMA queue estimator behind LIFL's hierarchy-aware autoscaling (§5.2).
 
 LIFL periodically re-plans the hierarchy on each node from the smoothed
 queue estimate ``Q_i,t = k_i,t × E_i,t``, smoothed by an EWMA with
 ``α = 0.7`` ("based on it yielding the best results in our experiments") to
-avoid over-allocating on short-term spikes.  The default re-plan period is
-the paper's 2-minute cycle.
-
-The baseline :class:`ThresholdAutoscaler` models the Knative/OpenFaaS
-behaviour described in §2.3: a target concurrency per replica, no awareness
-of the aggregation hierarchy.
+avoid over-allocating on short-term spikes.  The §6.1 overhead measurements
+(:mod:`repro.experiments.overhead`) time this estimator.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
-
 from repro.common.errors import ConfigError
-from repro.controlplane.hierarchy import HierarchyPlan, plan_hierarchy
 
 
 class EwmaEstimator:
@@ -54,79 +46,3 @@ class EwmaEstimator:
 
     def reset(self) -> None:
         self._value = None
-
-
-@dataclass
-class HierarchyAwareAutoscaler:
-    """LIFL's autoscaler: per-node EWMA estimates → hierarchy plans.
-
-    Drive it with :meth:`observe` as per-node metrics arrive (from the
-    metrics server), then call :meth:`replan` on the planning cycle.
-    """
-
-    alpha: float = 0.7
-    updates_per_leaf: int = 2
-    replan_period: float = 120.0
-    _estimators: dict[str, EwmaEstimator] = field(default_factory=dict)
-    _round: int = 0
-
-    def __post_init__(self) -> None:
-        if self.updates_per_leaf < 1:
-            raise ConfigError("updates_per_leaf must be >= 1")
-        if self.replan_period <= 0:
-            raise ConfigError("replan_period must be positive")
-
-    def observe(self, node: str, arrival_rate: float, exec_time: float) -> float:
-        """Feed one (k_i,t, E_i,t) sample; returns the smoothed Q̄_i,t."""
-        est = self._estimators.setdefault(node, EwmaEstimator(self.alpha))
-        return est.update(arrival_rate * exec_time)
-
-    def observe_queue(self, node: str, queue_length: float) -> float:
-        """Feed a directly-measured queue length (Fig. 8's experiments
-        "assume the estimated Q_i,t is equal to the actual queue length")."""
-        est = self._estimators.setdefault(node, EwmaEstimator(self.alpha))
-        return est.update(queue_length)
-
-    def smoothed(self, node: str) -> float:
-        est = self._estimators.get(node)
-        return est.value if est is not None else 0.0
-
-    def replan(self, top_node: str | None = None) -> HierarchyPlan:
-        """Produce the next hierarchy plan from current estimates."""
-        pending = {n: int(round(e.value)) for n, e in self._estimators.items()}
-        plan = plan_hierarchy(
-            pending,
-            updates_per_leaf=self.updates_per_leaf,
-            top_node=top_node,
-            round_id=self._round,
-        )
-        self._round += 1
-        return plan
-
-
-@dataclass
-class ThresholdAutoscaler:
-    """§2.3's application-agnostic baseline: replicas = ceil(load/target).
-
-    ``target_concurrency`` is the user-set requests-per-replica knob.  The
-    scaler is *reactive*: it only sees current concurrency, so scaling a
-    function chain cold-starts level by level (the "cascading effect" the
-    paper cites), which callers model by charging one cold start per level.
-    """
-
-    target_concurrency: float = 2.0
-    max_replicas: int = 1000
-    min_replicas: int = 0
-
-    def __post_init__(self) -> None:
-        if self.target_concurrency <= 0:
-            raise ConfigError("target_concurrency must be positive")
-        if self.min_replicas < 0 or self.max_replicas < max(1, self.min_replicas):
-            raise ConfigError("invalid replica bounds")
-
-    def desired_replicas(self, observed_concurrency: float) -> int:
-        """Replica count for the observed in-flight request count."""
-        if observed_concurrency < 0:
-            raise ConfigError(f"negative concurrency: {observed_concurrency}")
-        want = math.ceil(observed_concurrency / self.target_concurrency)
-        return int(min(self.max_replicas, max(self.min_replicas, want)))

@@ -102,9 +102,6 @@ class HierarchyPlan:
     def on_node(self, node: str) -> list[AggregatorSpec]:
         return [a for a in self.aggregators.values() if a.node == node]
 
-    def children_of(self, agg_id: str) -> list[AggregatorSpec]:
-        return [a for a in self.aggregators.values() if a.parent == agg_id]
-
     def routes(self) -> dict[str, str]:
         """Source → destination map (the SKMSG route table content)."""
         return {a.agg_id: a.parent for a in self.aggregators.values() if a.parent}

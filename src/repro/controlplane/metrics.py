@@ -1,9 +1,9 @@
 """The metrics server (Fig. 3) — the control plane's view of load.
 
 Per-node arrival rates ``k_i,t`` and execution times ``E_i,t`` flow here
-from the LIFL agents (which drain the eBPF metrics maps, §4.3).  The
-autoscaler and placement engine read from this server; the §6.1 overhead
-benchmark measures the estimate path end to end.
+from the LIFL agents (:class:`~repro.controlplane.agent.NodeAgent`, which
+drains the eBPF metrics maps, §4.3), and the server derives each node's
+queue estimate and residual capacity from them.
 """
 
 from __future__ import annotations
@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.common.errors import ConfigError
-from repro.controlplane.placement import NodeCapacity
 
 
 @dataclass
@@ -34,14 +33,6 @@ class NodeMetrics:
     def residual_capacity(self) -> float:
         """RC_i,t = MC_i − k_i,t × E_i,t."""
         return self.max_capacity - self.queue_estimate
-
-    def to_capacity(self) -> NodeCapacity:
-        return NodeCapacity(
-            name=self.node,
-            max_capacity=self.max_capacity,
-            arrival_rate=self.arrival_rate,
-            exec_time=self.exec_time,
-        )
 
 
 class MetricsServer:
@@ -76,10 +67,6 @@ class MetricsServer:
 
     def node_metrics(self, node: str) -> NodeMetrics:
         return self._metrics(node)
-
-    def capacities(self) -> list[NodeCapacity]:
-        """Snapshot for the placement engine."""
-        return [m.to_capacity() for m in self._nodes.values()]
 
     def queue_estimates(self) -> dict[str, float]:
         return {n: m.queue_estimate for n, m in self._nodes.items()}

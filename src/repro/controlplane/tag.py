@@ -111,9 +111,6 @@ class TagGraph:
     def role_of(self, name: str) -> str:
         return self._roles[name]["role"]
 
-    def worker_node_of(self, name: str) -> str:
-        return self._roles[name]["node"]
-
     def channel(self, src: str, dst: str) -> Channel:
         data = self._succ.get(src, {}).get(dst)
         if data is None:
@@ -198,6 +195,3 @@ class TagGraph:
 
     def __len__(self) -> int:
         return len(self._roles)
-
-    def edge_count(self) -> int:
-        return sum(len(dsts) for dsts in self._succ.values())

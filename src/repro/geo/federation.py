@@ -66,7 +66,7 @@ from repro.telemetry.bus import (
     merge_streams,
 )
 from repro.traces.models import Trace, TraceEvent
-from repro.traces.replay import ReplayConfig, ReplayResult
+from repro.traces.replay import ReplayConfig, ReplayResult, validate_replay_inputs
 from repro.traces.shard import ShardReport, run_cell
 from repro.traces.slo import SloTracker
 
@@ -343,6 +343,16 @@ class GeoReplayEngine:
         self.platform_factory = platform_factory
         self.trace = trace
         self.config = config or ReplayConfig()
+        # No fault plan here: geo's is region-scoped and checked below.
+        validate_replay_inputs(
+            self.config,
+            availability=availability,
+            selector=selector,
+            clients=clients,
+            chaos=chaos,
+            population=population,
+            controller=controller,
+        )
         self.homes = dict(homes) if homes else None
         self.availability = availability
         self.weights = weights

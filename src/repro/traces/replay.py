@@ -78,7 +78,14 @@ if TYPE_CHECKING:  # import-light: replay only needs these for typing
     from repro.telemetry.bus import TelemetryBus
     from repro.traces.shard import ShardedReplayResult
 
-__all__ = ["ChaosCorrelation", "ReplayConfig", "ReplayResult", "RoundRecord", "TraceReplayEngine"]
+__all__ = [
+    "ChaosCorrelation",
+    "ReplayConfig",
+    "ReplayResult",
+    "RoundRecord",
+    "TraceReplayEngine",
+    "validate_replay_inputs",
+]
 
 
 @dataclass(frozen=True)
@@ -294,6 +301,66 @@ class ReplayResult:
         return out
 
 
+def validate_replay_inputs(
+    config: ReplayConfig,
+    *,
+    availability: AvailabilityTrace | None = None,
+    selector: "Selector | None" = None,
+    clients: "list[FLClient] | None" = None,
+    chaos: ChaosCorrelation | None = None,
+    population: "ClientPopulation | None" = None,
+    controller: "ControllerConfig | None" = None,
+    fault_plan: "FaultPlan | None" = None,
+) -> None:
+    """Raise :class:`ConfigError` for replay inputs no engine can run.
+
+    Every replay engine calls this at construction, so the sharded and geo
+    engines reject a bad combination before any worker forks."""
+    config.validate()
+    if population is not None:
+        # The struct-of-arrays path: availability masks, selection, and
+        # weights all come from the population's arrays — it replaces
+        # the clients-list + AvailabilityTrace + weights-dict trio.
+        if clients is not None:
+            raise ConfigError("population and clients are mutually exclusive")
+        if selector is None:
+            raise ConfigError("population-driven replay needs a selector")
+        if availability is not None:
+            raise ConfigError(
+                "population carries its own availability windows — "
+                "do not also pass an availability trace"
+            )
+        if chaos is not None:
+            raise ConfigError(
+                "chaos correlation needs the AvailabilityTrace path "
+                "(population replay does not support it yet)"
+            )
+        if population.total_windows == 0:
+            raise ConfigError(
+                "population-driven replay needs availability windows "
+                "(generate with horizon > 0)"
+            )
+    elif (selector is None) != (clients is None):
+        raise ConfigError("selector and clients must be given together")
+    if selector is not None and availability is None and population is None:
+        raise ConfigError("selector-driven replay needs an availability trace")
+    if chaos is not None:
+        chaos.validate()
+        if availability is None:
+            raise ConfigError("chaos correlation needs an availability trace")
+    if controller is not None:
+        controller.validate()
+    if fault_plan is not None:
+        fault_plan.validate()
+        if fault_plan.crashes or fault_plan.dropouts:
+            raise ConfigError(
+                "a replay fault_plan must be fabric-only (partitions, "
+                "NIC degradations, slow nodes) — crash/dropout events "
+                "target a single round's aggregators and belong to "
+                "ChaosCorrelation or FaultInjector.install()"
+            )
+
+
 class TraceReplayEngine:
     """Drive one platform through one trace, measuring SLO behaviour.
 
@@ -332,57 +399,24 @@ class TraceReplayEngine:
         self.platform_factory = platform_factory
         self.trace = trace
         self.config = config or ReplayConfig()
-        self.config.validate()
         self.availability = availability
         self.weights = dict(weights) if weights else {}
-        if population is not None:
-            # The struct-of-arrays path: availability masks, selection, and
-            # weights all come from the population's arrays — it replaces
-            # the clients-list + AvailabilityTrace + weights-dict trio.
-            if clients is not None:
-                raise ConfigError("population and clients are mutually exclusive")
-            if selector is None:
-                raise ConfigError("population-driven replay needs a selector")
-            if availability is not None:
-                raise ConfigError(
-                    "population carries its own availability windows — "
-                    "do not also pass an availability trace"
-                )
-            if chaos is not None:
-                raise ConfigError(
-                    "chaos correlation needs the AvailabilityTrace path "
-                    "(population replay does not support it yet)"
-                )
-            if population.total_windows == 0:
-                raise ConfigError(
-                    "population-driven replay needs availability windows "
-                    "(generate with horizon > 0)"
-                )
-        elif (selector is None) != (clients is None):
-            raise ConfigError("selector and clients must be given together")
-        if selector is not None and availability is None and population is None:
-            raise ConfigError("selector-driven replay needs an availability trace")
+        validate_replay_inputs(
+            self.config,
+            availability=availability,
+            selector=selector,
+            clients=clients,
+            chaos=chaos,
+            population=population,
+            controller=controller,
+            fault_plan=fault_plan,
+        )
         self.selector = selector
         self.clients = list(clients) if clients else []
         self.population = population
         self.chaos = chaos
-        if chaos is not None:
-            chaos.validate()
-            if availability is None:
-                raise ConfigError("chaos correlation needs an availability trace")
         self.controller_config = controller
-        if controller is not None:
-            controller.validate()
         self.fault_plan = fault_plan
-        if fault_plan is not None:
-            fault_plan.validate()
-            if fault_plan.crashes or fault_plan.dropouts:
-                raise ConfigError(
-                    "a replay fault_plan must be fabric-only (partitions, "
-                    "NIC degradations, slow nodes) — crash/dropout events "
-                    "target a single round's aggregators and belong to "
-                    "ChaosCorrelation or FaultInjector.install()"
-                )
         self.seed = seed
         #: the telemetry bus this replay emits into: an explicit argument
         #: wins, else the ambient bus a ``capture()`` block installed, else
@@ -808,9 +842,13 @@ class TraceReplayEngine:
             elif decision == "evict-oldest":
                 # Head drop: the queue's oldest waiter bounces (a rejection
                 # — it never got served) and the newcomer takes its place.
+                # A zero-length queue has no waiter to evict, so the
+                # newcomer bounces instead.
                 if pending[t]:
                     _reject(pending[t].popleft(), reason="evicted-oldest")
-                pending[t].append(rec)
+                    pending[t].append(rec)
+                else:
+                    _reject(rec)
             elif decision == "reject":
                 _reject(rec)
             else:

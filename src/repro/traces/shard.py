@@ -60,10 +60,6 @@ from typing import TYPE_CHECKING, Callable
 
 from repro.common.errors import ConfigError
 from repro.common.fanout import fan_out
-from repro.core.partition import CohortPlan, plan_cohorts  # noqa: F401 - re-export:
-# plan_shards splits *tenants* across serving cells; plan_cohorts (one layer
-# down, in repro.core.partition) splits a single round's *cohort* across
-# worker processes along the HierarchyPlan boundary.
 from repro.perf.counters import CounterCarrier, EngineCounters, collect, maybe_register
 from repro.telemetry.bus import (
     RecordingSubscriber,
@@ -73,7 +69,12 @@ from repro.telemetry.bus import (
     merge_streams,
 )
 from repro.traces.models import Trace
-from repro.traces.replay import ReplayConfig, ReplayResult, TraceReplayEngine
+from repro.traces.replay import (
+    ReplayConfig,
+    ReplayResult,
+    TraceReplayEngine,
+    validate_replay_inputs,
+)
 
 if TYPE_CHECKING:  # import-light, mirroring replay.py
     from repro.chaos.plan import FaultPlan
@@ -87,12 +88,10 @@ if TYPE_CHECKING:  # import-light, mirroring replay.py
     from repro.traces.replay import ChaosCorrelation
 
 __all__ = [
-    "CohortPlan",
     "ShardPlan",
     "ShardReport",
     "ShardedReplayEngine",
     "ShardedReplayResult",
-    "plan_cohorts",
     "plan_shards",
     "run_cell",
     "split_trace",
@@ -262,6 +261,16 @@ class ShardedReplayEngine:
         self.platform_factory = platform_factory
         self.trace = trace
         self.config = config or ReplayConfig()
+        validate_replay_inputs(
+            self.config,
+            availability=availability,
+            selector=selector,
+            clients=clients,
+            chaos=chaos,
+            population=population,
+            controller=controller,
+            fault_plan=fault_plan,
+        )
         self.availability = availability
         self.weights = weights
         self.selector = selector

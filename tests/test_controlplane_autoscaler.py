@@ -1,16 +1,11 @@
-"""EWMA estimator and the two autoscalers."""
+"""The EWMA queue estimator."""
 
 from __future__ import annotations
 
 import pytest
 
 from repro.common.errors import ConfigError
-from repro.controlplane.autoscaler import (
-    EwmaEstimator,
-    HierarchyAwareAutoscaler,
-    ThresholdAutoscaler,
-)
-from repro.controlplane.hierarchy import Role
+from repro.controlplane.autoscaler import EwmaEstimator
 
 
 def test_ewma_recurrence_matches_paper():
@@ -51,57 +46,3 @@ def test_ewma_reset():
     est.reset()
     assert not est.initialized
     assert est.value == 0.0
-
-
-def test_autoscaler_observe_builds_queue_estimates():
-    scaler = HierarchyAwareAutoscaler()
-    q = scaler.observe("node0", arrival_rate=4.0, exec_time=2.0)
-    assert q == pytest.approx(8.0)
-    assert scaler.smoothed("node0") == pytest.approx(8.0)
-    assert scaler.smoothed("never-seen") == 0.0
-
-
-def test_autoscaler_replan_produces_hierarchy():
-    scaler = HierarchyAwareAutoscaler(updates_per_leaf=2)
-    scaler.observe_queue("node0", 8)
-    scaler.observe_queue("node1", 4)
-    plan = scaler.replan()
-    assert len(plan.by_role(Role.TOP)) == 1
-    leaf_capacity = sum(a.fan_in for a in plan.by_role(Role.LEAF))
-    assert leaf_capacity == 12
-
-
-def test_autoscaler_replan_round_ids_advance():
-    scaler = HierarchyAwareAutoscaler()
-    scaler.observe_queue("node0", 4)
-    p0, p1 = scaler.replan(), scaler.replan()
-    assert set(p0.aggregators).isdisjoint(p1.aggregators)
-
-
-def test_autoscaler_config_validation():
-    with pytest.raises(ConfigError):
-        HierarchyAwareAutoscaler(updates_per_leaf=0)
-    with pytest.raises(ConfigError):
-        HierarchyAwareAutoscaler(replan_period=0.0)
-
-
-def test_threshold_autoscaler_ceil_rule():
-    ts = ThresholdAutoscaler(target_concurrency=2.0)
-    assert ts.desired_replicas(0.0) == 0
-    assert ts.desired_replicas(1.0) == 1
-    assert ts.desired_replicas(7.0) == 4
-
-
-def test_threshold_autoscaler_bounds():
-    ts = ThresholdAutoscaler(target_concurrency=1.0, min_replicas=1, max_replicas=3)
-    assert ts.desired_replicas(0.0) == 1
-    assert ts.desired_replicas(99.0) == 3
-
-
-def test_threshold_autoscaler_validation():
-    with pytest.raises(ConfigError):
-        ThresholdAutoscaler(target_concurrency=0.0)
-    with pytest.raises(ConfigError):
-        ThresholdAutoscaler(min_replicas=-1)
-    with pytest.raises(ConfigError):
-        ThresholdAutoscaler().desired_replicas(-1.0)

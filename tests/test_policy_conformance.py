@@ -39,6 +39,7 @@ from repro.core.policies import (
 )
 from repro.fl.population import ClientPopulation
 from repro.fl.selector import Selector, SelectorConfig
+from repro.telemetry.bus import RecordingSubscriber, TelemetryBus
 from repro.traces.models import availability_trace, poisson_trace
 from repro.traces.replay import ChaosCorrelation, ReplayConfig, TraceReplayEngine
 from repro.workloads.fedscale import MOBILE_PROFILE, make_population
@@ -248,30 +249,45 @@ def test_admission_respects_bounds_and_never_starves(
         )
 
 
-@pytest.mark.parametrize("name", POLICIES.names("admission"))
-def test_admission_end_to_end_conserves_every_arrival(name: str):
+@pytest.mark.parametrize(
+    ("name", "queue_limit"),
+    [
+        pytest.param(name, limit, id=name if limit else f"{name}-zero-queue")
+        for name in POLICIES.names("admission")
+        for limit in (2, 0)
+    ],
+)
+def test_admission_end_to_end_conserves_every_arrival(name: str, queue_limit: int):
     """Under heavy overload every arrival still reaches exactly one
-    terminal outcome — the serving loop enforces the queue bound (it
-    raises if a policy enqueues past it) and nothing is lost or counted
-    twice."""
+    terminal outcome, and no queue ever holds more waiters than its
+    bound — a zero-length queue included, where a head drop has no
+    waiter to evict."""
+    trace = poisson_trace(40.0, 90.0, seed=2)
+    bus = TelemetryBus()
+    stream = RecordingSubscriber(bus)
     replay = TraceReplayEngine(
         AggregationPlatform(PlatformConfig.lifl(), node_names=NODES),
-        poisson_trace(40.0, 90.0, seed=2),
+        trace,
         ReplayConfig(
             round_updates=4,
             max_inflight=1,
-            queue_limit=2,
+            queue_limit=queue_limit,
             slo_target_s=10.0,
             admission_policy=name,
             defer_deadline_s=5.0,
         ),
         seed=2,
+        telemetry=bus,
     )
-    row = replay.run().row()
-    terminal = (
-        row["completed"] + row["rejected"] + row["aborted"] + row.get("shed", 0)
-    )
-    assert terminal == row["rounds"] > 0
+    result = replay.run()
+    assert result.row()["rounds"] == len(trace.events) > 0
+    assert len(result.records) == len(trace.events)
+    for rec in result.records:
+        settled = rec.complete_at >= 0 and not rec.aborted
+        outcomes = (settled, rec.rejected, rec.aborted, rec.shed)
+        assert sum(outcomes) == 1, (rec.tenant, rec.round_id, outcomes)
+    depths = [r.get("depth") for r in stream.records if r.kind == "queue-sample"]
+    assert depths and max(depths) <= queue_limit
 
 
 # ================================================================== recovery

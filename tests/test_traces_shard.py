@@ -21,7 +21,7 @@ from repro.core.platform import AggregationPlatform, PlatformConfig
 from repro.geo import GeoReplayEngine, RegionTopology
 from repro.perf.counters import collect
 from repro.traces.models import merge_traces, poisson_trace
-from repro.traces.replay import ReplayConfig, TraceReplayEngine
+from repro.traces.replay import ChaosCorrelation, ReplayConfig, TraceReplayEngine
 from repro.traces.shard import (
     ShardedReplayEngine,
     plan_shards,
@@ -261,10 +261,14 @@ def _fails_in_tasks(exit_hard: bool = False, planning_calls: int = 0):
     return factory
 
 
+def _sharded(factory, config=CONFIG, **kw) -> ShardedReplayEngine:
+    return ShardedReplayEngine(
+        factory, _three_tenant_trace(), config, seed=5, shards=3, workers=3, **kw
+    )
+
+
 def _run_sharded(factory):
-    ShardedReplayEngine(
-        factory, _three_tenant_trace(), CONFIG, seed=5, shards=3, workers=3
-    ).run()
+    _sharded(factory).run()
 
 
 def _run_partitioned(factory):
@@ -272,13 +276,17 @@ def _run_partitioned(factory):
     PartitionedRoundEngine(factory, shards=3, workers=3).run([arrivals], 1e6)
 
 
-def _run_geo(factory):
+def _geo(factory, config=CONFIG, **kw) -> GeoReplayEngine:
     topology = RegionTopology(
         ("us", "eu", "ap"), fallbacks={"us": "eu", "eu": "ap", "ap": "us"}
     )
-    GeoReplayEngine(
-        topology, factory, _three_tenant_trace(), CONFIG, seed=5, workers=3
-    ).run()
+    return GeoReplayEngine(
+        topology, factory, _three_tenant_trace(), config, seed=5, workers=3, **kw
+    )
+
+
+def _run_geo(factory):
+    _geo(factory).run()
 
 
 @pytest.mark.parametrize(
@@ -310,6 +318,17 @@ def test_forked_worker_failure_names_its_shards(run, exit_hard, planning_calls, 
         assert "RuntimeError: boom" not in forked_shares
     else:
         assert message.count("RuntimeError: boom") == 3
+
+
+@pytest.mark.parametrize("build", [_sharded, _geo], ids=["sharded", "geo"])
+def test_fanned_out_engines_reject_bad_inputs_before_forking(build):
+    # The single-cell engine's input checks run in the constructor, so
+    # they raise before any cell calls the (failing) platform factory.
+    factory = _fails_in_tasks()
+    with pytest.raises(ConfigError, match="chaos correlation needs an availability trace"):
+        build(factory, chaos=ChaosCorrelation())
+    with pytest.raises(ConfigError, match="queue_limit must be >= 0"):
+        build(factory, config=ReplayConfig(queue_limit=-1))
 
 
 def test_forked_shards_credit_profile_counters():
