@@ -5,7 +5,8 @@ from __future__ import annotations
 import pytest
 
 from repro.controlplane.autoscaler import EwmaEstimator
-from repro.controlplane.placement import BestFitPlacer, NodeCapacity
+from repro.controlplane.placement import NodeCapacity
+from repro.core.policies import resolve_policy
 from repro.experiments import capacity
 
 
@@ -16,14 +17,14 @@ def big_fleet():
 
 def test_bench_placement_10k_clients(benchmark, big_fleet):
     """Paper budget: < 17 ms for 10K clients."""
-    placer = BestFitPlacer()
+    placer = resolve_policy("placement", "bestfit")
     plan = benchmark(placer.place, 10_000, big_fleet)
     assert sum(plan.per_node.values()) == 10_000
     assert benchmark.stats.stats.mean < 0.017
 
 
 def test_bench_placement_1k_clients(benchmark, big_fleet):
-    placer = BestFitPlacer()
+    placer = resolve_policy("placement", "bestfit")
     benchmark(placer.place, 1_000, big_fleet)
     assert benchmark.stats.stats.mean < 0.017
 

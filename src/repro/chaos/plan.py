@@ -16,6 +16,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from repro.common.errors import ChaosError
+from repro.core.policies import POLICIES
 
 #: fault-event ``tenant`` value meaning "apply to every installed tenant"
 ALL_TENANTS = -1
@@ -167,6 +168,11 @@ class FaultPlan:
             raise ChaosError("heartbeat_timeout must be positive")
         if self.sweep_interval <= 0:
             raise ChaosError("sweep_interval must be positive")
+        recovery = POLICIES.names("recovery")
+        if self.recovery_policy and self.recovery_policy not in recovery:
+            raise ChaosError(
+                f"unknown recovery policy {self.recovery_policy!r}; have {recovery}"
+            )
         for ev in (
             *self.crashes,
             *self.dropouts,

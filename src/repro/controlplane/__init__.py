@@ -6,9 +6,11 @@ hierarchy planning from every round, which is how Fig. 8's ablation
 switches exercise them; warm reuse is simulated by the lifecycle stage in
 :mod:`repro.core.stages`.
 
-* :mod:`repro.controlplane.placement` — locality-aware placement as
-  bin-packing over residual service capacity (§5.1): BestFit (LIFL),
-  FirstFit, WorstFit (≈ Knative "least connection", the SL-H baseline);
+* :mod:`repro.controlplane.placement` — the data model of locality-aware
+  placement as bin-packing over residual service capacity (§5.1); the
+  BestFit (LIFL), FirstFit and WorstFit (≈ Knative "least connection",
+  the SL-H baseline) fills are the ``placement`` family of
+  :mod:`repro.core.policies`;
 * :mod:`repro.controlplane.hierarchy` — two-level k-ary hierarchy plans per
   node (§5.2);
 * :mod:`repro.controlplane.autoscaler` — the EWMA queue estimator that
@@ -44,21 +46,12 @@ from repro.controlplane.reactive import (
     DeadlineExceeded,
     pool_floor_for,
 )
-from repro.controlplane.placement import (
-    BestFitPlacer,
-    FirstFitPlacer,
-    NodeCapacity,
-    Placer,
-    PlacementPlan,
-    WorstFitPlacer,
-    make_placer,
-)
+from repro.controlplane.placement import NodeCapacity, PlacementPlan
 from repro.controlplane.tag import Channel, TagGraph, TagNode
 
 __all__ = [
     "ACTION_KINDS",
     "AggregatorSpec",
-    "BestFitPlacer",
     "Channel",
     "ControlAction",
     "Controller",
@@ -66,19 +59,15 @@ __all__ = [
     "ControllerReport",
     "DeadlineExceeded",
     "EwmaEstimator",
-    "FirstFitPlacer",
     "HierarchyPlan",
     "MetricsServer",
     "NodeCapacity",
     "NodeHierarchy",
     "NodeMetrics",
-    "Placer",
     "PlacementPlan",
     "Role",
     "TagGraph",
     "TagNode",
-    "WorstFitPlacer",
-    "make_placer",
     "plan_hierarchy",
     "plan_node_hierarchy",
     "pool_floor_for",

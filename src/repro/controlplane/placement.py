@@ -10,18 +10,17 @@ clients producing them) onto worker nodes with two criteria:
 LIFL treats this as bin-packing and uses **BestFit** — concentrate load onto
 the fewest nodes.  **WorstFit** spreads load (the Knative "least connection"
 behaviour of the SL-H baseline in Fig. 8), and **FirstFit** minimizes search
-cost without locality awareness.  All three are implemented below behind one
-interface so the Fig. 8 ablation and the §6.1 overhead benchmark (< 17 ms
-for 10K clients) run the same code paths.
+cost without locality awareness.  This module holds the data model those
+policies share; the policies themselves are the ``placement`` family of
+:mod:`repro.core.policies`, so the Fig. 8 ablation and the §6.1 overhead
+benchmark (< 17 ms for 10K clients) run the same code paths.
 """
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
 
-from repro.common.errors import CapacityExceededError, ConfigError
+from repro.common.errors import ConfigError
 
 
 @dataclass
@@ -80,122 +79,3 @@ class PlacementPlan:
         intermediate update (§5.2 "the communication between a particular
         pair of worker nodes only happens once")."""
         return max(0, self.node_count - 1)
-
-
-class Placer:
-    """Common bin-packing harness; subclasses implement the batch fill.
-
-    Updates are unit-demand, which lets every policy run as a batch fill
-    (O(n log n + items)) instead of a per-item argmin scan — this is what
-    keeps 10K-client placement under the paper's 17 ms budget (§6.1).
-    The batch fills are exactly equivalent to the per-item greedy rules.
-    """
-
-    name = "abstract"
-
-    def place(self, n_updates: int, nodes: Sequence[NodeCapacity]) -> PlacementPlan:
-        """Assign ``n_updates`` unit-demand model updates to ``nodes``.
-
-        Each update consumes one unit of residual capacity.  When every
-        node is saturated, remaining updates overflow round-robin onto all
-        nodes (they will queue) — the paper's Fig. 8 "100 updates" case
-        where "the service capacity of all five nodes would be maxed out".
-        """
-        if n_updates < 0:
-            raise ConfigError(f"n_updates must be non-negative, got {n_updates}")
-        if not nodes:
-            raise CapacityExceededError("no nodes available for placement")
-        order = [n.name for n in nodes]
-        slots = {n.name: int(max(0.0, n.residual)) for n in nodes}
-        assignments = self._fill(order, slots, n_updates)
-        # All bins full: queue the remainder on nodes round-robin.
-        for i in range(n_updates - len(assignments)):
-            assignments.append(order[i % len(order)])
-        per_node: dict[str, int] = {name: 0 for name in order}
-        for name in assignments:
-            per_node[name] += 1
-        return PlacementPlan(assignments=assignments, per_node=per_node)
-
-    def _fill(self, order: Sequence[str], slots: dict[str, int], n: int) -> list[str]:
-        """Assign up to ``n`` updates into free ``slots``; return choices."""
-        raise NotImplementedError
-
-
-class BestFitPlacer(Placer):
-    """LIFL's policy: the fullest node that still fits (fewest nodes used).
-
-    With unit demands, greedy best-fit fills the least-residual node to
-    exhaustion before touching the next, so a sorted fill is equivalent.
-    """
-
-    name = "bestfit"
-
-    def _fill(self, order: Sequence[str], slots: dict[str, int], n: int) -> list[str]:
-        assignments: list[str] = []
-        for name in sorted(order, key=lambda m: slots[m]):  # stable: ties by order
-            if n <= len(assignments):
-                break
-            take = min(slots[name], n - len(assignments))
-            assignments.extend([name] * take)
-        return assignments
-
-
-class FirstFitPlacer(Placer):
-    """First node (in fixed order) that fits — cheap, locality-blind."""
-
-    name = "firstfit"
-
-    def _fill(self, order: Sequence[str], slots: dict[str, int], n: int) -> list[str]:
-        assignments: list[str] = []
-        for name in order:
-            if n <= len(assignments):
-                break
-            take = min(slots[name], n - len(assignments))
-            assignments.extend([name] * take)
-        return assignments
-
-
-class WorstFitPlacer(Placer):
-    """Most-residual-capacity node first — spreads load like Knative's
-    "least connection" policy (the SL-H baseline's behaviour in Fig. 8)."""
-
-    name = "worstfit"
-
-    def _fill(self, order: Sequence[str], slots: dict[str, int], n: int) -> list[str]:
-        index = {name: i for i, name in enumerate(order)}
-        heap = [(-s, index[name], name) for name, s in slots.items() if s >= 1]
-        heapq.heapify(heap)
-        assignments: list[str] = []
-        while heap and len(assignments) < n:
-            neg_s, idx, name = heapq.heappop(heap)
-            assignments.append(name)
-            if neg_s + 1 < 0:
-                heapq.heappush(heap, (neg_s + 1, idx, name))
-        return assignments
-
-
-_PLACERS = {
-    "bestfit": BestFitPlacer,
-    "firstfit": FirstFitPlacer,
-    "worstfit": WorstFitPlacer,
-    "least-connection": WorstFitPlacer,  # Knative alias
-}
-
-
-def make_placer(policy: str) -> Placer:
-    """Placer factory by policy name (``bestfit``/``firstfit``/``worstfit``)."""
-    try:
-        return _PLACERS[policy.lower()]()
-    except KeyError:
-        raise ConfigError(f"unknown placement policy {policy!r}; have {sorted(_PLACERS)}") from None
-
-
-def group_clients_by_node(
-    client_ids: Iterable[str], plan: PlacementPlan
-) -> dict[str, list[str]]:
-    """Client → node grouping implied by a placement plan (the clients-to-
-    worker-node mapping that drives in-place message queuing, §5.1)."""
-    groups: dict[str, list[str]] = {}
-    for cid, node in zip(client_ids, plan.assignments, strict=True):
-        groups.setdefault(node, []).append(cid)
-    return groups

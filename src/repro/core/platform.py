@@ -16,8 +16,9 @@ aggregation timing ④  eager       eager      lazy        lazy
 ====================  ==========  =========  ==========  =========
 
 :class:`AggregationPlatform` wraps a config + round engine + the *real*
-control-plane code (placer, hierarchy planner, warm pool accounting) into
-the object the experiments drive.
+control-plane code (the ``placement`` policy named by
+``PlatformConfig.placement_policy``, the hierarchy planner, warm pool
+accounting) into the object the experiments drive.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from repro.controlplane.hierarchy import (
     Role,
     plan_hierarchy,
 )
-from repro.controlplane.placement import make_placer, NodeCapacity
+from repro.controlplane.placement import NodeCapacity
 from repro.core.policies import resolve_policy
 from repro.core.results import RoundResult
 from repro.core.updates import SimUpdate
@@ -53,6 +54,8 @@ class PlatformConfig:
     name: str
     pipeline: PipelineKind
     ingress: IngressKind
+    #: bin-packing policy name from the ``"placement"`` family of
+    #: :mod:`repro.core.policies` (``bestfit``/``firstfit``/``worstfit``)
     placement_policy: str = "bestfit"
     #: ① locality-aware placement: aggregators are placed on the nodes
     #: where their input updates were queued (data-centric, §5.1).  When
@@ -103,13 +106,6 @@ class PlatformConfig:
     ingress_stage: str = ""
     transfer_stage: str = ""
     lifecycle_stage: str = ""
-    #: round-placement policy name from the ``"placement"`` family of
-    #: :mod:`repro.core.policies` (how a whole round's updates are mapped
-    #: to nodes and planned — distinct from ``placement_policy``, the
-    #: bin-packing placer the ``locality`` policy delegates to).  Empty
-    #: string resolves the default, ``"locality"``, which reproduces the
-    #: pre-registry behaviour byte for byte.
-    round_placement: str = ""
 
     def __post_init__(self) -> None:
         if self.updates_per_leaf < 1:
@@ -183,7 +179,7 @@ class PlatformConfig:
     @staticmethod
     def sl_h(**overrides: object) -> "PlatformConfig":
         """Fig. 8's baseline: LIFL's shm data plane under a vanilla
-        serverless control plane (least-connection spread, reactive cold
+        serverless control plane (least connection spread, reactive cold
         starts, lazy aggregation, no reuse)."""
         cfg = PlatformConfig(
             name="sl-h",
@@ -216,8 +212,7 @@ class AggregationPlatform:
         self.node_names = node_names or [f"node{i}" for i in range(5)]
         self.node_spec = node_spec or NodeSpec(name="template")
         self.cal = cal
-        self.placer = make_placer(config.placement_policy)
-        self.placement = resolve_policy("placement", config.round_placement)
+        self.placement = resolve_policy("placement", config.placement_policy)
         self.engine = RoundEngine(
             config, self.node_names, cal, self.node_spec, nic_bps_by_node=nic_bps_by_node
         )
@@ -257,7 +252,7 @@ class AggregationPlatform:
         ]
         if self.config.static_leaf_nodes > 0:
             capacities = capacities[: self.config.static_leaf_nodes]
-        plan = self.placer.place(len(arrivals), capacities)
+        plan = self.placement.place(len(arrivals), capacities)
         updates = []
         for uid, ((t, w), node) in enumerate(zip(sorted(arrivals), plan.assignments)):
             updates.append(
@@ -340,10 +335,9 @@ class AggregationPlatform:
         internal round counter advances so each prepared round gets
         distinct aggregator ids.  ``nodes`` restricts placement to a fleet
         subset (chaos-aware placement); omitted, behaviour is unchanged.
-        Placement routes through the configured round-placement policy
-        (``PlatformConfig.round_placement``; default ``locality``).
         """
-        updates, plan = self.placement.place(self, arrivals, nbytes, nodes=nodes)
+        updates = self.place_updates(arrivals, nbytes, nodes=nodes)
+        plan = self.plan_round(updates, nodes=nodes)
         self._round += 1
         return updates, plan
 
@@ -359,7 +353,8 @@ class AggregationPlatform:
 
         ``injector`` (a :class:`repro.chaos.FaultInjector`) attaches fault
         and recovery processes before the round runs."""
-        updates, plan = self.placement.place(self, arrivals, nbytes)
+        updates = self.place_updates(arrivals, nbytes)
+        plan = self.plan_round(updates)
         result = self.engine.run_round(
             updates,
             plan,

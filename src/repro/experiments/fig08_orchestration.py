@@ -4,7 +4,7 @@ Five nodes (MC_i = 20 each), ResNet-152 updates arriving concurrently at
 the aggregation service; batch sizes 20/60/100.  Configurations:
 
 * **SL-H** — LIFL's shm data plane under a vanilla serverless control
-  plane: least-connection (WorstFit) spread, locality-agnostic pods,
+  plane: least connection (WorstFit) spread, locality-agnostic pods,
   reactive cold starts, lazy aggregation;
 * **+①** — locality-aware BestFit placement;
 * **+①+②** — hierarchy planning with pre-planned (warm-by-round-start)

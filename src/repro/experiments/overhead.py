@@ -12,7 +12,8 @@ import time
 from dataclasses import dataclass
 
 from repro.controlplane.autoscaler import EwmaEstimator
-from repro.controlplane.placement import BestFitPlacer, NodeCapacity
+from repro.controlplane.placement import NodeCapacity
+from repro.core.policies import resolve_policy
 from repro.experiments.common import render_table
 from repro.scenarios.registry import ScenarioRun, scenario
 
@@ -26,7 +27,7 @@ class OverheadRow:
 
 def time_placement(n_clients: int, n_nodes: int = 100, repeats: int = 5) -> float:
     """Best (most stable) wall time of one full placement, in ms."""
-    placer = BestFitPlacer()
+    placer = resolve_policy("placement", "bestfit")
     nodes = [NodeCapacity(f"node{i}", max_capacity=max(20, n_clients // n_nodes + 5)) for i in range(n_nodes)]
     best = float("inf")
     for _ in range(repeats):

@@ -2,7 +2,7 @@
 attainment per simulated cost.
 
 The policy registry (:mod:`repro.core.policies`) makes every decision
-family — client selection, round placement, admission control, failure
+family — client selection, bin-packing placement, admission control, failure
 recovery — a named, swappable strategy.  This scenario runs the natural
 follow-up experiment: a **tournament** that sweeps contenders from each
 family across a grid of workloads and ranks them on a single
@@ -15,7 +15,7 @@ Every cell serves one workload with exactly one family swapped off its
 default (the contender) and the other three pinned to their defaults, so
 a contender's score is attributable to that one decision seam.  The
 default-named contenders (``selection:availability-aware``,
-``placement:locality``, ``admission:bounded-queue``,
+``placement:bestfit``, ``admission:bounded-queue``,
 ``recovery:shrink-or-abort``) therefore all replay the *identical*
 all-defaults cell — they are the shared reference row of each workload's
 bracket.
@@ -67,8 +67,8 @@ N_NODES = 8
 CONTENDERS = (
     "selection:availability-aware",
     "selection:random",
-    "placement:locality",
-    "placement:lpt",
+    "placement:bestfit",
+    "placement:worstfit",
     "admission:bounded-queue",
     "admission:drop-head",
     "admission:defer-with-deadline",
@@ -101,13 +101,13 @@ def _picks(contender: str) -> dict[str, str]:
     return picks
 
 
-def _fleet(round_placement: str, capacity: int = 0) -> AggregationPlatform:
+def _fleet(placement_policy: str, capacity: int = 0) -> AggregationPlatform:
     nodes = [f"node{i}" for i in range(N_NODES)]
     spec = (
         NodeSpec(name="template", max_service_capacity=capacity) if capacity else None
     )
     return AggregationPlatform(
-        PlatformConfig.lifl(round_placement=round_placement),
+        PlatformConfig.lifl(placement_policy=placement_policy),
         node_names=nodes,
         node_spec=spec,
     )

@@ -57,7 +57,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
-from repro.common.errors import ConfigError
+from repro.common.errors import ChaosError, ConfigError
 from repro.common.rng import RngRegistry, make_rng
 from repro.common.units import RESNET18_BYTES
 from repro.core.policies import AdmissionContext, SelectionContext, resolve_policy
@@ -168,6 +168,26 @@ class ChaosCorrelation:
             raise ConfigError("max_fraction must be in (0, 1]")
         if self.wave_delay_s < 0:
             raise ConfigError("wave_delay_s must be >= 0")
+        # Every wave copies the recovery knobs into a FaultPlan: check them
+        # by FaultPlan's rules now, not inside a replay at the first dip.
+        try:
+            self.wave_plan(seed=0, at=0.0, fraction=self.max_fraction).validate()
+        except ChaosError as exc:
+            raise ConfigError(f"chaos correlation: {exc}") from exc
+
+    def wave_plan(self, seed: int, at: float, fraction: float) -> "FaultPlan":
+        """The fault plan of one wave: ``fraction`` of the round's clients
+        drop out at ``at``, under this correlation's recovery knobs."""
+        from repro.chaos import DropoutWave, FaultPlan
+
+        return FaultPlan(
+            seed=seed,
+            quorum_fraction=self.quorum_fraction,
+            heartbeat_timeout=self.heartbeat_timeout,
+            sweep_interval=self.sweep_interval,
+            dropouts=(DropoutWave(at=at, fraction=fraction),),
+            recovery_policy=self.recovery_policy,
+        )
 
     def wave_fraction(self, availability: float) -> float:
         """Dropout fraction for a round seeing ``availability`` (0 = no
@@ -977,20 +997,12 @@ class TraceReplayEngine:
         )
         if frac <= 0.0:
             return
-        from repro.chaos import DropoutWave, FaultInjector, FaultPlan
+        from repro.chaos import FaultInjector
 
-        plan = FaultPlan(
-            seed=int(
-                make_rng(self.seed, f"chaos:{rec.tenant}:{rec.round_id}").integers(
-                    0, 2**31 - 1
-                )
-            ),
-            quorum_fraction=chaos.quorum_fraction,
-            heartbeat_timeout=chaos.heartbeat_timeout,
-            sweep_interval=chaos.sweep_interval,
-            dropouts=(DropoutWave(at=env.now + chaos.wave_delay_s, fraction=frac),),
-            recovery_policy=chaos.recovery_policy,
+        seed = make_rng(self.seed, f"chaos:{rec.tenant}:{rec.round_id}").integers(
+            0, 2**31 - 1
         )
+        plan = chaos.wave_plan(int(seed), env.now + chaos.wave_delay_s, frac)
         FaultInjector(plan, telemetry=tel).install(
             env=env, fabric=fabric, engine=engine, tenants=[tenant_round]
         )

@@ -42,7 +42,7 @@ def test_registry_catalogue_has_every_ported_policy():
         "population",
         "random",
     ]
-    assert POLICIES.names("placement") == ["locality", "lpt"]
+    assert POLICIES.names("placement") == ["bestfit", "firstfit", "worstfit"]
     assert POLICIES.names("admission") == [
         "bounded-queue",
         "defer-with-deadline",
@@ -156,9 +156,9 @@ def test_unknown_admission_knob_raises():
         _replay(ReplayConfig(admission_policy="lottery"))
 
 
-def test_unknown_round_placement_raises():
+def test_unknown_placement_policy_raises():
     with pytest.raises(ConfigError, match="unknown placement policy"):
-        _platform(round_placement="scatter")
+        _platform(placement_policy="scatter")
 
 
 def test_unknown_recovery_policy_raises():

@@ -195,7 +195,7 @@ def test_controlplane_scenarios_golden_json_seq_vs_parallel(tmp_path):
 def test_figure_scenarios_golden_json_seq_vs_parallel(tmp_path):
     """All eight paper experiments, sequential vs ``--jobs 4``: with the
     policy registry resolving every default-named decision (placement's
-    ``locality``, the selector paths, queue admission), the figure rows
+    ``bestfit``, the selector paths, queue admission), the figure rows
     must stay byte-identical — the registry refactor is observationally
     invisible to the paper reproduction.  The ``overhead`` scenario is
     the one exception: it stopwatch-times real placement calls, so its

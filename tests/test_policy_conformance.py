@@ -136,10 +136,11 @@ _ARRIVALS = st.lists(
 def test_placement_covers_arrivals_and_respects_nodes(
     name: str, arrivals: list, restrict: int
 ):
-    platform = AggregationPlatform(PlatformConfig.lifl(), node_names=NODES)
-    pol = POLICIES.create("placement", name)
+    platform = AggregationPlatform(
+        PlatformConfig.lifl(placement_policy=name), node_names=NODES
+    )
     allowed = NODES[:restrict]
-    updates, plan = pol.place(platform, arrivals, nbytes=1e6, nodes=allowed)
+    updates, plan = platform.prepare_round(arrivals, nbytes=1e6, nodes=allowed)
     # Exactly-once coverage, in deterministic arrival order.
     assert len(updates) == len(arrivals)
     assert sorted(u.uid for u in updates) == list(range(len(arrivals)))
@@ -191,10 +192,9 @@ def test_placement_respects_region_restricted_node_sets(
         _REGION_NODES[fallback if partitioned_home else home]
     )
     platform = AggregationPlatform(
-        PlatformConfig.lifl(), node_names=_ALL_REGION_NODES
+        PlatformConfig.lifl(placement_policy=name), node_names=_ALL_REGION_NODES
     )
-    pol = POLICIES.create("placement", name)
-    updates, plan = pol.place(platform, arrivals, nbytes=1e6, nodes=list(allowed))
+    updates, plan = platform.prepare_round(arrivals, nbytes=1e6, nodes=list(allowed))
     assert len(updates) == len(arrivals)
     used = {u.node for u in updates}
     assert used <= set(allowed), f"{name} escaped the region restriction"

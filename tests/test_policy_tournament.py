@@ -59,7 +59,7 @@ def test_default_named_contenders_share_one_reference_row(tmp_path):
     report, _ = _bracket(tmp_path, "diurnal")
     defaults = (
         "selection:availability-aware",
-        "placement:locality",
+        "placement:bestfit",
         "admission:bounded-queue",
         "recovery:shrink-or-abort",
     )

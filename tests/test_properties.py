@@ -20,7 +20,8 @@ from hypothesis import strategies as st
 from repro.common.rng import make_rng
 from repro.controlplane.autoscaler import EwmaEstimator
 from repro.controlplane.hierarchy import plan_hierarchy
-from repro.controlplane.placement import BestFitPlacer, NodeCapacity, WorstFitPlacer
+from repro.controlplane.placement import NodeCapacity
+from repro.core.policies import POLICIES, resolve_policy
 from repro.fl.fedavg import FedAvgAccumulator, ModelUpdate, federated_average
 from repro.fl.model import Model
 from repro.runtime.object_store import SharedMemoryObjectStore
@@ -94,8 +95,8 @@ def test_average_within_input_envelope(spec):
 @settings(max_examples=80, deadline=None)
 def test_placement_conserves_demand_and_respects_capacity(n_updates, capacities):
     nodes = [NodeCapacity(f"n{i}", float(c)) for i, c in enumerate(capacities)]
-    for placer in (BestFitPlacer(), WorstFitPlacer()):
-        plan = placer.place(n_updates, nodes)
+    for name in POLICIES.names("placement"):
+        plan = resolve_policy("placement", name).place(n_updates, nodes)
         assert sum(plan.per_node.values()) == n_updates
         assert len(plan.assignments) == n_updates
         total_capacity = sum(int(c) for c in capacities)
@@ -113,11 +114,11 @@ def test_placement_conserves_demand_and_respects_capacity(n_updates, capacities)
 @settings(max_examples=80, deadline=None)
 def test_bestfit_uses_no_more_nodes_than_worstfit(n_updates, capacity, n_nodes):
     """On homogeneous nodes (the paper's testbed, §6.1 footnote), BestFit's
-    packing never uses more nodes than the least-connection spread.  (With
+    packing never uses more nodes than the least connection spread.  (With
     heterogeneous capacities greedy BestFit is not bin-minimal in general.)"""
     nodes = [NodeCapacity(f"n{i}", float(capacity)) for i in range(n_nodes)]
-    best = BestFitPlacer().place(n_updates, nodes)
-    worst = WorstFitPlacer().place(n_updates, nodes)
+    best = resolve_policy("placement", "bestfit").place(n_updates, nodes)
+    worst = resolve_policy("placement", "worstfit").place(n_updates, nodes)
     assert best.node_count <= worst.node_count
 
 
@@ -131,7 +132,7 @@ def test_bestfit_is_minimal_on_homogeneous_nodes(n_updates, capacity, n_nodes):
     """With unit demands on identical nodes, BestFit uses exactly
     ceil(n / capacity) nodes (clamped to the fleet size) — the minimum."""
     nodes = [NodeCapacity(f"n{i}", float(capacity)) for i in range(n_nodes)]
-    plan = BestFitPlacer().place(n_updates, nodes)
+    plan = resolve_policy("placement", "bestfit").place(n_updates, nodes)
     if n_updates <= capacity * n_nodes:
         minimum = -(-n_updates // capacity)  # ceil division
         assert plan.node_count == minimum

@@ -20,7 +20,7 @@ from repro.core.partition import PartitionedRoundEngine
 from repro.core.platform import AggregationPlatform, PlatformConfig
 from repro.geo import GeoReplayEngine, RegionTopology
 from repro.perf.counters import collect
-from repro.traces.models import merge_traces, poisson_trace
+from repro.traces.models import availability_trace, merge_traces, poisson_trace
 from repro.traces.replay import ChaosCorrelation, ReplayConfig, TraceReplayEngine
 from repro.traces.shard import (
     ShardedReplayEngine,
@@ -329,6 +329,32 @@ def test_fanned_out_engines_reject_bad_inputs_before_forking(build):
         build(factory, chaos=ChaosCorrelation())
     with pytest.raises(ConfigError, match="queue_limit must be >= 0"):
         build(factory, config=ReplayConfig(queue_limit=-1))
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("quorum_fraction", 0.0),
+        ("heartbeat_timeout", 0.0),
+        ("sweep_interval", 0.0),
+        ("recovery_policy", "nope"),
+    ],
+)
+def test_bad_chaos_correlation_fails_at_construction(field, value):
+    # Each wave copies these fields into a FaultPlan; a bad one must fail
+    # when the engine is built, not mid-replay at the first dip (which a
+    # sharded run reports as a WorkerError from its forked cells).
+    inputs = {
+        "availability": availability_trace(8, HORIZON_S, seed=5),
+        "chaos": ChaosCorrelation(**{field: value}),
+    }
+    named = field.split("_")[0]
+    with pytest.raises(ConfigError, match=named):
+        TraceReplayEngine(
+            _lifl_platform(), _three_tenant_trace(), CONFIG, seed=5, **inputs
+        )
+    with pytest.raises(ConfigError, match=named):
+        _sharded(_lifl_platform, **inputs)
 
 
 def test_forked_shards_credit_profile_counters():
