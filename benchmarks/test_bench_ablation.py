@@ -11,7 +11,7 @@ import pytest
 
 from repro.common.rng import make_rng
 from repro.common.units import RESNET152_BYTES
-from repro.controlplane.autoscaler import EwmaEstimator
+from repro.controlplane.metrics import EwmaEstimator
 from repro.core.platform import AggregationPlatform, PlatformConfig
 from repro.workloads.arrival import concurrent_arrivals, staggered_arrivals
 

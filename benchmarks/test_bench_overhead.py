@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.controlplane.autoscaler import EwmaEstimator
+from repro.controlplane.metrics import EwmaEstimator
 from repro.controlplane.placement import NodeCapacity
 from repro.core.policies import resolve_policy
 from repro.experiments import capacity

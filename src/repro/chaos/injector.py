@@ -37,7 +37,6 @@ from repro.common.errors import ChaosError, RoundAbort
 from repro.common.rng import make_rng
 from repro.core.aggregator import InstanceState
 from repro.core.policies import RecoveryContext, resolve_policy
-from repro.core.stages import LifecycleStage
 from repro.fl.failures import HeartbeatMonitor
 from repro.sim.engine import Environment, Process
 
@@ -188,13 +187,6 @@ class FaultInjector:
     def install(self, env: Environment, fabric: Fabric, engine, tenants: list) -> None:
         plan = self.plan
         self._env = env
-        if plan.crashes:
-            lifecycle = engine.lifecycle
-            if type(lifecycle).restart_instance is LifecycleStage.restart_instance:
-                raise ChaosError(
-                    f"lifecycle stage {lifecycle.name!r} cannot restart crashed "
-                    f"aggregators; configure lifecycle_stage='resilient'"
-                )
         known_nodes = set(engine.node_names)
         for ev in (*plan.nic_degradations, *plan.slow_nodes):
             if ev.node not in known_nodes:

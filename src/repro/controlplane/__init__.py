@@ -13,13 +13,11 @@ switches exercise them; warm reuse is simulated by the lifecycle stage in
   :mod:`repro.core.policies`;
 * :mod:`repro.controlplane.hierarchy` — two-level k-ary hierarchy plans per
   node (§5.2);
-* :mod:`repro.controlplane.autoscaler` — the EWMA queue estimator that
-  smooths the planner's input (§5.2), timed by the §6.1 overhead
-  measurements;
 * :mod:`repro.controlplane.tag` — the Topology Abstraction Graph used for
   fine-grained control (Appendix D);
 * :mod:`repro.controlplane.metrics` — the metrics server fed by the
-  eBPF-sidecar metrics maps;
+  eBPF-sidecar metrics maps, and the EWMA queue estimator that smooths
+  the planner's input (§5.2), timed by the §6.1 overhead measurements;
 * :mod:`repro.controlplane.agent` — the per-node agent that drives the
   real shared-memory runtime (:mod:`repro.runtime`);
 * :mod:`repro.controlplane.reactive` — the closed-loop reactive controller
@@ -27,7 +25,6 @@ switches exercise them; warm reuse is simulated by the lifecycle stage in
   admission limits, chaos-aware placement, and graceful shedding.
 """
 
-from repro.controlplane.autoscaler import EwmaEstimator
 from repro.controlplane.hierarchy import (
     AggregatorSpec,
     HierarchyPlan,
@@ -36,7 +33,7 @@ from repro.controlplane.hierarchy import (
     plan_hierarchy,
     plan_node_hierarchy,
 )
-from repro.controlplane.metrics import MetricsServer, NodeMetrics
+from repro.controlplane.metrics import EwmaEstimator, MetricsServer, NodeMetrics
 from repro.controlplane.reactive import (
     ACTION_KINDS,
     ControlAction,

@@ -17,7 +17,6 @@ This package ties the substrates together into runnable systems:
 """
 
 from repro.core.aggregator import AggregatorInstance, InstanceState
-from repro.core.async_aggregation import AsyncAggregator, AsyncConfig
 from repro.core.platform import AggregationPlatform, PlatformConfig
 from repro.core.results import InstanceStats, RoundResult, WorkloadResult
 from repro.core.rounds import FLWorkloadConfig, run_fl_workload
@@ -27,8 +26,6 @@ from repro.core.updates import SimUpdate
 __all__ = [
     "AggregationPlatform",
     "AggregatorInstance",
-    "AsyncAggregator",
-    "AsyncConfig",
     "FLWorkloadConfig",
     "InstanceState",
     "InstanceStats",

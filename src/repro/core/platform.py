@@ -98,14 +98,11 @@ class PlatformConfig:
     #: idle-but-warm pooled runtimes still hold their pod allocation
     #: (only the eBPF sidecar is free); LIFL pays this small keep-warm tax
     warm_idle_reserved_cores: float = 0.0
-    #: explicit stage-registry keys (see repro.core.stages).  Empty string
-    #: means "derive from the fields above": ingress from
-    #: (ingress, pipeline), transfer "calibrated", lifecycle "warm-pool".
-    #: Scenarios register new stage variants and select them here without
-    #: touching the round engine.
+    #: explicit ``ingress`` policy name (see repro.core.stages).  Empty
+    #: string means "derive from (ingress, pipeline)".  Scenarios register
+    #: new ingress variants and select them here without touching the
+    #: round engine.
     ingress_stage: str = ""
-    transfer_stage: str = ""
-    lifecycle_stage: str = ""
 
     def __post_init__(self) -> None:
         if self.updates_per_leaf < 1:

@@ -1,9 +1,8 @@
 """The strategy-pattern policy registry: pluggable serving decisions.
 
-Four decision families steer a serving replay, and each used to be a
-hard-wired method.  This module gives every family a slim ABC and a
-name → factory registry, mirroring how :mod:`repro.core.stages` resolves
-dataplane stages:
+Five decision families steer a round or a serving replay, and each used
+to be a hard-wired method.  This module gives every family a slim ABC
+and one name → factory registry, :data:`POLICIES`:
 
 * :class:`SelectionPolicy` — which clients participate in a round
   (``availability-aware`` / ``random`` / ``population``);
@@ -14,13 +13,17 @@ dataplane stages:
   tenant's in-flight slots are busy (``bounded-queue`` / ``drop-tail`` /
   ``drop-head`` / ``defer-with-deadline``);
 * :class:`RecoveryPolicy` — how a round reacts to mid-flight client
-  failures (``shrink-or-abort`` / ``abort-fast``).
+  failures (``shrink-or-abort`` / ``abort-fast``);
+* :class:`~repro.core.stages.IngressStage` — how client updates enter a
+  node (``gateway`` / ``gateway-coalesced`` / ``broker-sf`` /
+  ``broker-sl``), registered by :mod:`repro.core.stages`.
 
 Policies register with the :func:`policy` decorator and are resolved by
-name through :class:`~repro.core.platform.PlatformConfig` (placement) and
-:class:`~repro.traces.replay.ReplayConfig` / :class:`~repro.chaos.FaultPlan`
-knobs — empty string means "the registered default", which reproduces the
-pre-registry behaviour byte for byte.  All randomness a policy consumes
+name through :class:`~repro.core.platform.PlatformConfig` (placement,
+ingress) and :class:`~repro.traces.replay.ReplayConfig` /
+:class:`~repro.chaos.FaultPlan` knobs — empty string means "the
+registered default", which reproduces the pre-registry behaviour byte
+for byte.  All randomness a policy consumes
 comes through its injected RNG: selection receives the per-round stream
 the replay derives from ``(seed, tenant, round_id)``, and
 :func:`resolve_policy` binds a named :class:`~repro.common.rng.RngRegistry`
@@ -64,11 +67,12 @@ __all__ = [
 ]
 
 #: the decision families the registry knows about
-FAMILIES = ("selection", "placement", "admission", "recovery")
+FAMILIES = ("selection", "placement", "admission", "recovery", "ingress")
 
 #: the registered default per family — resolving an empty-string knob
 #: lands here (except selection, whose default derives from the inputs
-#: the replay was given; see TraceReplayEngine)
+#: the replay was given, see TraceReplayEngine, and ingress, whose
+#: default derives from the platform config, see resolve_ingress)
 DEFAULTS = {
     "selection": "availability-aware",
     "placement": "bestfit",
@@ -92,9 +96,9 @@ class Policy:
 
 
 class PolicyRegistry:
-    """``(family, name)`` → policy factory, with stage-registry error
-    semantics: duplicates refuse to register, unknown names raise a
-    :class:`~repro.common.errors.ConfigError` listing what exists."""
+    """``(family, name)`` → policy factory: duplicates refuse to register,
+    unknown names raise a :class:`~repro.common.errors.ConfigError`
+    listing what exists."""
 
     def __init__(self) -> None:
         self._factories: dict[tuple[str, str], Callable[[], Policy]] = {}
@@ -154,9 +158,10 @@ def policy(family: str, name: str) -> Callable[[type], type]:
 def resolve_policy(
     family: str, name: str = "", rngs: RngRegistry | None = None
 ) -> Policy:
-    """Resolve one policy by name (empty → the family default) and bind
-    its registry stream ``policy:<family>:<name>`` when ``rngs`` given."""
-    resolved = POLICIES.create(family, name or DEFAULTS[family])
+    """Resolve one policy by name (empty → the family default; a family
+    without one raises) and bind its registry stream
+    ``policy:<family>:<name>`` when ``rngs`` given."""
+    resolved = POLICIES.create(family, name or DEFAULTS.get(family, ""))
     if rngs is not None:
         resolved.rng = rngs.stream(f"policy:{family}:{resolved.name}")
     return resolved

@@ -21,9 +21,9 @@ What is simulated (vs computed):
 
 The engine itself is platform-agnostic: ingress serialization/admission,
 aggregator-to-aggregator transfer costs, and instance-lifecycle policy are
-stage objects resolved through the registries in :mod:`repro.core.stages`
-(select variants via ``PlatformConfig.ingress_stage`` /
-``transfer_stage`` / ``lifecycle_stage``).
+the stage objects of :mod:`repro.core.stages`; the ingress stage is
+resolved through the ``ingress`` policy family (select a variant via
+``PlatformConfig.ingress_stage``).
 
 Two extension points sit on top of the stages:
 
@@ -58,10 +58,10 @@ from repro.core.aggregator import AggregatorCosts, AggregatorInstance
 from repro.core.platform import PlatformConfig
 from repro.core.results import RoundResult
 from repro.core.stages import (
+    LifecycleStage,
+    TransferStage,
     WarmState,
     resolve_ingress,
-    resolve_lifecycle,
-    resolve_transfer,
 )
 from repro.core.updates import MailboxItem, SimUpdate
 from repro.dataplane.calibration import DEFAULT_CALIBRATION, DataplaneCalibration
@@ -159,10 +159,8 @@ class RoundEngine:
             if unknown:
                 raise ConfigError(f"NIC overrides for unknown nodes: {sorted(unknown)}")
         self.ingress = resolve_ingress(config)
-        self.transfer = resolve_transfer(config)
-        self.lifecycle = resolve_lifecycle(config)
-        #: back-compat alias: the warm pool now lives on the lifecycle stage
-        self.warm = self.lifecycle.warm
+        self.transfer = TransferStage()
+        self.lifecycle = LifecycleStage()
         #: fleet position of each node: an install builds ledgers and
         #: ingress resources for the nodes it touches, in this order
         self._fleet_rank = {name: i for i, name in enumerate(self.node_names)}

@@ -1,32 +1,35 @@
-"""Pluggable stages of the round engine.
+"""The stages of the round engine.
 
-The round engine composes its behaviour from three families of stage
-objects, mirroring how :mod:`repro.dataplane.pipelines` composes hop
-sequences:
+The round engine composes its behaviour from three stage objects,
+mirroring how :mod:`repro.dataplane.pipelines` composes hop sequences:
 
 * :class:`IngressStage` — how client updates enter a node: the
   serialization costs of the ingress and consumer-side paths, the admission
   resources (per-node gateways vs a shared broker), and the reserved-CPU
   tax of the stateful ingress components;
 * :class:`TransferStage` — how intermediate updates move between
-  aggregators: intra-node and inter-node (tx/rx split) latency and CPU;
+  aggregators: intra-node and inter-node (tx/rx split) latency and CPU of
+  the calibrated dataplane pipeline;
 * :class:`LifecycleStage` — when aggregator instances come into existence:
   cold starts, reactive-scaling ramp admission, warm reuse and in-round
-  role conversion (owns the cross-round warm pool).
+  role conversion (owns the cross-round warm pool), and the stateless
+  restart of crashed aggregators.
 
-Each family has a :class:`StageRegistry`; scenarios register new variants
-under a name and select them via the ``ingress_stage`` / ``transfer_stage``
-/ ``lifecycle_stage`` fields of :class:`~repro.core.platform.PlatformConfig`
-without touching :mod:`repro.core.roundsim`.
+Only ingress is a choice the engine makes per config, so only ingress is
+pluggable: it is the ``ingress`` family of
+:data:`~repro.core.policies.POLICIES`.  Scenarios register new variants
+with ``@policy("ingress", name)`` and select them via
+``PlatformConfig.ingress_stage`` without touching
+:mod:`repro.core.roundsim`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Generic, TypeVar
+from typing import Callable
 
-from repro.common.errors import ConfigError
 from repro.core.platform import IngressKind, PlatformConfig
+from repro.core.policies import Policy, policy, resolve_policy
 from repro.core.updates import SimUpdate
 from repro.dataplane.calibration import DataplaneCalibration
 from repro.dataplane.gateway import VerticalScaler
@@ -37,42 +40,6 @@ from repro.dataplane.pipelines import (
 )
 from repro.sim.engine import Environment, Event
 from repro.sim.resources import Resource
-
-T = TypeVar("T")
-
-
-class StageRegistry(Generic[T]):
-    """Name → stage factory, one registry per stage family."""
-
-    def __init__(self, family: str) -> None:
-        self.family = family
-        self._factories: dict[str, Callable[[], T]] = {}
-
-    def register(self, name: str) -> Callable[[Callable[[], T]], Callable[[], T]]:
-        """Decorator: ``@INGRESS_STAGES.register("gateway")`` on a class or
-        zero-argument factory."""
-        if not name:
-            raise ConfigError(f"{self.family} stage needs a non-empty name")
-
-        def deco(factory: Callable[[], T]) -> Callable[[], T]:
-            if name in self._factories:
-                raise ConfigError(f"{self.family} stage {name!r} already registered")
-            self._factories[name] = factory
-            return factory
-
-        return deco
-
-    def create(self, name: str) -> T:
-        try:
-            factory = self._factories[name]
-        except KeyError:
-            raise ConfigError(
-                f"unknown {self.family} stage {name!r}; have {self.names()}"
-            ) from None
-        return factory()
-
-    def names(self) -> list[str]:
-        return sorted(self._factories)
 
 
 # --------------------------------------------------------------------- ingress
@@ -87,10 +54,10 @@ class IngressCosts:
     recv_cpu: float
 
 
-class IngressStage:
+class IngressStage(Policy):
     """How client updates enter a node (Fig. 5's ingress designs)."""
 
-    name = "base"
+    family = "ingress"
 
     def costs(
         self, cfg: PlatformConfig, cal: DataplaneCalibration, nbytes: float
@@ -148,15 +115,10 @@ class IngressStage:
         return 0.0
 
 
-INGRESS_STAGES: StageRegistry[IngressStage] = StageRegistry("ingress")
-
-
-@INGRESS_STAGES.register("gateway")
+@policy("ingress", "gateway")
 class GatewayIngress(IngressStage):
     """LIFL: per-node gateway writing into shared memory, vertically scaled
     to the node's offered load (§4.2)."""
-
-    name = "gateway"
 
     def costs(
         self, cfg: PlatformConfig, cal: DataplaneCalibration, nbytes: float
@@ -202,7 +164,7 @@ class GatewayIngress(IngressStage):
         return cfg.gateway_reserved_cores * duration * nodes_used
 
 
-@INGRESS_STAGES.register("gateway-coalesced")
+@policy("ingress", "gateway-coalesced")
 class CoalescedGatewayIngress(GatewayIngress):
     """Gateway ingress with batched arrival coalescing (stress scale).
 
@@ -216,8 +178,6 @@ class CoalescedGatewayIngress(GatewayIngress):
     is opt-in (``ingress_stage="gateway-coalesced"``) rather than the
     gateway default; the million-client scenarios select it.
     """
-
-    name = "gateway-coalesced"
 
     def install_arrivals(
         self,
@@ -257,12 +217,10 @@ class _BrokerIngress(IngressStage):
         return {name: shared for name in node_names}
 
 
-@INGRESS_STAGES.register("broker-sf")
+@policy("ingress", "broker-sf")
 class ServerfulBrokerIngress(_BrokerIngress):
     """SF: broker queue + gRPC/deserialize consumer path (Fig. 5
     "Microservice")."""
-
-    name = "broker-sf"
 
     def costs(
         self, cfg: PlatformConfig, cal: DataplaneCalibration, nbytes: float
@@ -289,12 +247,10 @@ class ServerfulBrokerIngress(_BrokerIngress):
         )
 
 
-@INGRESS_STAGES.register("broker-sl")
+@policy("ingress", "broker-sl")
 class ServerlessBrokerIngress(_BrokerIngress):
     """SL: broker queue + container-sidecar consumer path (Fig. 5 "Basic
     serverless")."""
-
-    name = "broker-sl"
 
     def costs(
         self, cfg: PlatformConfig, cal: DataplaneCalibration, nbytes: float
@@ -332,7 +288,7 @@ def resolve_ingress(cfg: PlatformConfig) -> IngressStage:
             key = "broker-sf"
         else:
             key = "broker-sl"
-    return INGRESS_STAGES.create(key)
+    return resolve_policy("ingress", key)
 
 
 # -------------------------------------------------------------------- transfer
@@ -349,30 +305,14 @@ class TransferCosts:
 
 
 class TransferStage:
-    """How intermediate updates travel between aggregators."""
-
-    name = "base"
-
-    def costs(
-        self, cfg: PlatformConfig, cal: DataplaneCalibration, nbytes: float
-    ) -> TransferCosts:
-        """Per-hop costs; must be a pure function of its arguments (the
-        engine computes them once per model size and reuses them)."""
-        raise NotImplementedError
-
-
-TRANSFER_STAGES: StageRegistry[TransferStage] = StageRegistry("transfer")
-
-
-@TRANSFER_STAGES.register("calibrated")
-class CalibratedTransferStage(TransferStage):
-    """Costs from the calibrated dataplane pipelines of ``cfg.pipeline``."""
-
-    name = "calibrated"
+    """How intermediate updates travel between aggregators: costs from the
+    calibrated dataplane pipelines of ``cfg.pipeline``."""
 
     def costs(
         self, cfg: PlatformConfig, cal: DataplaneCalibration, nbytes: float
     ) -> TransferCosts:
+        """Per-hop costs; a pure function of its arguments (the engine
+        computes them once per model size and reuses them)."""
         intra = intra_node_pipeline(cfg.pipeline, cal).cost(nbytes)
         inter = inter_node_pipeline(cfg.pipeline, cal, include_wire=False).cost(nbytes)
         # Split the inter-node pipeline at the wire: hops before it are
@@ -388,10 +328,6 @@ class CalibratedTransferStage(TransferStage):
             inter_rx_latency=inter.latency - inter_tx_lat,
             inter_rx_cpu=inter.cpu_seconds - inter_tx_cpu,
         )
-
-
-def resolve_transfer(cfg: PlatformConfig) -> TransferStage:
-    return TRANSFER_STAGES.create(cfg.transfer_stage or "calibrated")
 
 
 # ------------------------------------------------------------------- lifecycle
@@ -433,64 +369,29 @@ class RoundAdmission:
 
 
 class LifecycleStage:
-    """When aggregator instances come into existence.
+    """When aggregator instances come into existence: the paper's
+    instance-creation policy, warm-pool reuse and in-round role conversion
+    (§5.3) plus the reactive autoscaler's stepwise ramp admission (§2.3)
+    for configs with ``ramp_delay > 0``, and §3's failure recovery for
+    crashed instances.
 
     The stage is engine-lifetime: it keeps cross-round state (the warm
     pool).  The engine calls :meth:`begin_round` before creating instances
     (receiving a per-round :class:`RoundAdmission` context),
     :meth:`ensure_created` whenever an instance must exist (prewarm or
-    first delivery), and :meth:`end_round` after the round settles.
+    first delivery), and :meth:`end_round` after the round settles; fault
+    injection calls :meth:`restart_instance`.
     """
-
-    name = "base"
 
     def __init__(self) -> None:
         self.warm = WarmState()
-
-    def begin_round(self, round_start: float = 0.0) -> RoundAdmission:
-        raise NotImplementedError
-
-    def ensure_created(
-        self,
-        inst,  # AggregatorInstance; untyped to keep the stage import-light
-        env: Environment,
-        cfg: PlatformConfig,
-        finished_on_node: dict[str, int],
-        admission: RoundAdmission | None = None,
-    ) -> None:
-        raise NotImplementedError
-
-    def end_round(self, cfg: PlatformConfig, instances_per_node: dict[str, int]) -> None:
-        raise NotImplementedError
-
-    def restart_instance(self, inst, env: Environment, cfg: PlatformConfig) -> None:
-        """Bring a crashed instance back (fault injection).  Only stages
-        that implement the paper's stateless-restart recovery support this;
-        everything else refuses loudly so a chaos scenario cannot silently
-        run without recovery."""
-        raise ConfigError(
-            f"lifecycle stage {self.name!r} cannot restart crashed aggregators; "
-            f"select the 'resilient' stage for chaos rounds"
-        )
-
-
-LIFECYCLE_STAGES: StageRegistry[LifecycleStage] = StageRegistry("lifecycle")
-
-
-@LIFECYCLE_STAGES.register("warm-pool")
-class WarmPoolLifecycle(LifecycleStage):
-    """The paper's instance-creation policy: warm-pool reuse and in-round
-    role conversion (§5.3) plus the reactive autoscaler's stepwise ramp
-    admission (§2.3) for configs with ``ramp_delay > 0``."""
-
-    name = "warm-pool"
 
     def begin_round(self, round_start: float = 0.0) -> RoundAdmission:
         return RoundAdmission(round_start=round_start)
 
     def ensure_created(
         self,
-        inst,
+        inst,  # AggregatorInstance; untyped to keep the stage import-light
         env: Environment,
         cfg: PlatformConfig,
         finished_on_node: dict[str, int],
@@ -529,44 +430,14 @@ class WarmPoolLifecycle(LifecycleStage):
             for node, count in instances_per_node.items():
                 self.warm.put(node, count)
 
-
-@LIFECYCLE_STAGES.register("resilient")
-class ResilientLifecycle(WarmPoolLifecycle):
-    """Warm-pool lifecycle plus the paper's §3 failure recovery: stateless
-    aggregators restart without state synchronization.
-
-    A restart prefers the warm pool (an idle warm runtime takes over the
-    crashed instance's mailbox instantly); otherwise the replacement pays a
-    cold start.  The stage keeps per-round restart accounting so scenarios
-    and tests can assert how recovery was funded.
-    """
-
-    name = "resilient"
-
-    def __init__(self) -> None:
-        super().__init__()
-        self.restarts = 0
-        self.warm_restarts = 0
-        self.cold_restarts = 0
-
-    def begin_round(self, round_start: float = 0.0) -> RoundAdmission:
-        self.restarts = 0
-        self.warm_restarts = 0
-        self.cold_restarts = 0
-        return super().begin_round(round_start)
-
     def restart_instance(self, inst, env: Environment, cfg: PlatformConfig) -> None:
-        self.restarts += 1
-        reused = cfg.reuse and self.warm.take(inst.node)
-        if reused:
-            self.warm_restarts += 1
+        """Bring a crashed instance back (§3: stateless aggregators restart
+        without state synchronization).  An idle warm runtime on the node
+        takes over the crashed instance's mailbox instantly; otherwise the
+        replacement pays a cold start.  ``inst.stats`` records which."""
+        if cfg.reuse and self.warm.take(inst.node):
             inst.restart(0.0, reused=True)
         else:
-            self.cold_restarts += 1
             inst.restart(
                 cfg.cold_start_latency, reused=False, startup_cpu=cfg.cold_start_cpu
             )
-
-
-def resolve_lifecycle(cfg: PlatformConfig) -> LifecycleStage:
-    return LIFECYCLE_STAGES.create(cfg.lifecycle_stage or "warm-pool")

@@ -3,13 +3,15 @@
 The paper's §3 resilience claim — keep-alive failure detection plus client
 over-provisioning, stateless aggregator restarts — is exercised as a grid:
 client dropout waves of increasing severity, with and without concurrent
-aggregator crashes, on a LIFL platform running the ``resilient`` lifecycle
-stage.  Expected shape: every round at a dropout rate below the
-over-provisioning margin (here quorum 60 %) completes, aggregating at
-least the quorum; rounds beyond the margin abort with a *typed*
-``RoundAbort`` instead of hanging.  Aggregator crashes never change the
-outcome — restarted instances re-read their inputs from shared memory and
-re-aggregate, so the final weight always equals the updates aggregated.
+aggregator crashes, on a LIFL platform (its lifecycle stage restarts
+crashed aggregators from the warm pool, else cold; the title's "resilient
+lifecycle" names that).  Expected shape: every round at a dropout rate
+below the over-provisioning margin (here quorum 60 %) completes,
+aggregating at least the quorum; rounds beyond the margin abort with a
+*typed* ``RoundAbort`` instead of hanging.  Aggregator crashes never
+change the outcome — restarted instances re-read their inputs from
+shared memory and re-aggregate, so the final weight always equals the
+updates aggregated.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ ARRIVAL_JITTER_S = 3.0
 
 def run_cell(dropout_rate: float, crashes: int, seed: int) -> dict:
     """One chaos round: a dropout wave at t=2 s, crashes at t=4 s."""
-    cfg = PlatformConfig.lifl(lifecycle_stage="resilient")
+    cfg = PlatformConfig.lifl()
     nodes = [f"node{i:02d}" for i in range(N_NODES)]
     platform = AggregationPlatform(cfg, node_names=nodes)
     arrivals = [

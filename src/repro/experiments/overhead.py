@@ -11,7 +11,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 
-from repro.controlplane.autoscaler import EwmaEstimator
+from repro.controlplane.metrics import EwmaEstimator
 from repro.controlplane.placement import NodeCapacity
 from repro.core.policies import resolve_policy
 from repro.experiments.common import render_table

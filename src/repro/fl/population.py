@@ -21,7 +21,7 @@ Three contracts keep it honest:
   because a single ``rng.uniform(..., size=k)`` call consumes the PCG64
   stream identically to ``k`` sequential scalar draws (property-tested);
 * **layer discipline** — nothing here is imported by the round engine; the
-  population plugs in above the stage registries, via
+  population plugs in above the round engine's stages, via
   :meth:`~repro.fl.selector.Selector.select_population` and the replay
   loop's participant drawing, exactly where ``AvailabilityTrace`` +
   ``FLClient`` lists plug in today.

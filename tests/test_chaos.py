@@ -25,7 +25,7 @@ from repro.workloads.arrival import concurrent_arrivals
 
 
 def _platform(n_nodes: int = 10, **overrides) -> AggregationPlatform:
-    cfg = PlatformConfig.lifl(lifecycle_stage="resilient", **overrides)
+    cfg = PlatformConfig.lifl(**overrides)
     return AggregationPlatform(cfg, node_names=[f"node{i:02d}" for i in range(n_nodes)])
 
 
@@ -82,15 +82,21 @@ def test_random_fault_plans_always_validate():
 
 # ---- injector wiring -------------------------------------------------------
 
-def test_crashes_require_resilient_lifecycle():
-    cfg = PlatformConfig.lifl()  # default warm-pool stage
+@pytest.mark.parametrize("preset", ["lifl", "sl_h"])
+def test_crash_plan_restarts_on_every_platform_preset(preset):
+    """Every platform's lifecycle stage restarts crashed aggregators: a
+    crash plan on a plain preset config completes with full weight."""
+    cfg = getattr(PlatformConfig, preset)()
     platform = AggregationPlatform(cfg, node_names=["node00", "node01"])
     plan = FaultPlan(crashes=(AggregatorCrash(at=1.0),))
-    with pytest.raises(ChaosError, match="resilient"):
-        platform.run_round(
-            _arrivals(8), RESNET152_BYTES, include_eval=False,
-            injector=FaultInjector(plan),
-        )
+    injector = FaultInjector(plan)
+    result = platform.run_round(
+        _arrivals(8), RESNET152_BYTES, include_eval=False, injector=injector,
+    )
+    assert injector.report.crashes_injected == 1
+    assert result.aggregator_restarts == 1
+    assert result.updates_aggregated == 8
+    assert result.total_weight == 8.0
 
 
 def test_unknown_fault_targets_rejected():
@@ -313,7 +319,7 @@ def test_abort_restocks_warm_pool():
     warm pool must not leak the slots the round consumed."""
     platform = _platform()
     platform.run_round(_arrivals(40), RESNET152_BYTES, include_eval=False)
-    pool_before = platform.engine.warm.total()
+    pool_before = platform.engine.lifecycle.warm.total()
     assert pool_before > 0
     plan = FaultPlan(
         seed=5, quorum_fraction=0.95, heartbeat_timeout=1.0, sweep_interval=0.5,
@@ -324,7 +330,7 @@ def test_abort_restocks_warm_pool():
             _arrivals(40), RESNET152_BYTES, include_eval=False,
             injector=FaultInjector(plan),
         )
-    assert platform.engine.warm.total() >= pool_before
+    assert platform.engine.lifecycle.warm.total() >= pool_before
 
 
 def test_reactive_abort_does_not_stock_phantom_warm_pods():
@@ -342,7 +348,7 @@ def test_reactive_abort_does_not_stock_phantom_warm_pods():
                 _arrivals(40), RESNET152_BYTES, include_eval=False,
                 injector=FaultInjector(plan),
             )
-        pools[prewarm] = platform.engine.warm.total()
+        pools[prewarm] = platform.engine.lifecycle.warm.total()
     # prewarm created the whole plan, the reactive round only a few
     # instances before aborting; identical restocks would mean phantoms
     assert pools[False] < pools[True]
@@ -353,7 +359,7 @@ def test_rejected_plan_does_not_leak_warm_pool():
     is built) must not drain the warm pool: the next round still reuses."""
     platform = _platform()
     platform.run_round(_arrivals(40), RESNET152_BYTES, include_eval=False)
-    pool_before = platform.engine.warm.total()
+    pool_before = platform.engine.lifecycle.warm.total()
     assert pool_before > 0
     bad = FaultPlan(
         nic_degradations=(NicDegrade(node="ghost", start=0.0, end=1.0, factor=0.5),)
@@ -363,7 +369,7 @@ def test_rejected_plan_does_not_leak_warm_pool():
             _arrivals(40), RESNET152_BYTES, include_eval=False,
             injector=FaultInjector(bad),
         )
-    assert platform.engine.warm.total() >= pool_before
+    assert platform.engine.lifecycle.warm.total() >= pool_before
     healthy = platform.run_round(_arrivals(40), RESNET152_BYTES, include_eval=False)
     assert healthy.aggregators_reused > 0  # no spurious cold-start storm
 

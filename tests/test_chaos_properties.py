@@ -29,7 +29,7 @@ QUORUM_FRACTION = 0.5
 
 
 def _run_chaos_round(plan_seed: int, reactive: bool) -> tuple:
-    overrides = {"lifecycle_stage": "resilient"}
+    overrides = {}
     if reactive:
         # exercise the create-on-delivery path too: leaves whose whole
         # input died must still be force-created to emit

@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.common.errors import ConfigError
-from repro.controlplane.autoscaler import EwmaEstimator
+from repro.controlplane.metrics import EwmaEstimator
 
 
 def test_ewma_recurrence_matches_paper():

@@ -32,7 +32,13 @@ def _platform(**overrides) -> AggregationPlatform:
 
 # ------------------------------------------------------------------ registry
 def test_registry_catalogue_has_every_ported_policy():
-    assert POLICIES.families() == ["selection", "placement", "admission", "recovery"]
+    assert POLICIES.families() == [
+        "selection",
+        "placement",
+        "admission",
+        "recovery",
+        "ingress",
+    ]
     # The conformance suite imports examples/custom_policy.py, which adds
     # "freshest-first" — the built-in selection catalogue must be there
     # regardless of whether that import happened first.
@@ -50,6 +56,9 @@ def test_registry_catalogue_has_every_ported_policy():
         "drop-tail",
     ]
     assert POLICIES.names("recovery") == ["abort-fast", "shrink-or-abort"]
+    # tests/test_core_stages.py registers a "free-ingress" variant
+    ingress = [n for n in POLICIES.names("ingress") if n != "free-ingress"]
+    assert ingress == ["broker-sf", "broker-sl", "gateway", "gateway-coalesced"]
     for family, name in DEFAULTS.items():
         assert name in POLICIES.names(family)
 

@@ -1,4 +1,5 @@
-"""Round-engine stage registry: resolution, extension, engine neutrality."""
+"""Round-engine stages: ingress resolution and extension through the
+``ingress`` policy family, engine neutrality, transfer and lifecycle."""
 
 from __future__ import annotations
 
@@ -10,19 +11,16 @@ from repro.common.errors import ConfigError
 from repro.controlplane.hierarchy import AggregatorSpec, HierarchyPlan, Role
 from repro.core import roundsim
 from repro.core.platform import PlatformConfig
+from repro.core.policies import POLICIES, policy, resolve_policy
 from repro.core.roundsim import RoundEngine
 from repro.core.stages import (
-    INGRESS_STAGES,
-    LIFECYCLE_STAGES,
-    TRANSFER_STAGES,
     GatewayIngress,
     IngressCosts,
+    LifecycleStage,
     ServerfulBrokerIngress,
     ServerlessBrokerIngress,
-    WarmPoolLifecycle,
+    TransferStage,
     resolve_ingress,
-    resolve_lifecycle,
-    resolve_transfer,
 )
 from repro.core.updates import SimUpdate
 from repro.dataplane.calibration import DEFAULT_CALIBRATION
@@ -58,28 +56,25 @@ def test_explicit_stage_key_overrides_derivation():
 
 
 def test_unknown_stage_key_raises():
-    with pytest.raises(ConfigError, match="unknown ingress stage"):
+    with pytest.raises(ConfigError, match="unknown ingress policy"):
         resolve_ingress(PlatformConfig.lifl(ingress_stage="nope"))
-    with pytest.raises(ConfigError, match="unknown transfer stage"):
-        resolve_transfer(PlatformConfig.lifl(transfer_stage="nope"))
-    with pytest.raises(ConfigError, match="unknown lifecycle stage"):
-        resolve_lifecycle(PlatformConfig.lifl(lifecycle_stage="nope"))
+    # ingress has no registry default: its default derives from the config
+    with pytest.raises(ConfigError, match="unknown ingress policy"):
+        resolve_policy("ingress")
 
 
 def test_duplicate_registration_rejected():
     with pytest.raises(ConfigError, match="already registered"):
-        INGRESS_STAGES.register("gateway")(GatewayIngress)
+        policy("ingress", "gateway")(GatewayIngress)
 
 
 def test_registry_names_listed():
-    assert {"gateway", "broker-sf", "broker-sl"} <= set(INGRESS_STAGES.names())
-    assert "calibrated" in TRANSFER_STAGES.names()
-    assert "warm-pool" in LIFECYCLE_STAGES.names()
+    assert {"gateway", "broker-sf", "broker-sl"} <= set(POLICIES.names("ingress"))
 
 
 def test_transfer_split_sums_to_pipeline_total():
     cfg = PlatformConfig.lifl()
-    xfer = resolve_transfer(cfg).costs(cfg, DEFAULT_CALIBRATION, 1e7)
+    xfer = TransferStage().costs(cfg, DEFAULT_CALIBRATION, 1e7)
     assert xfer.inter_tx_latency + xfer.inter_rx_latency > 0
     assert xfer.inter_tx_latency == pytest.approx(xfer.inter_rx_latency)
     assert xfer.intra_latency > 0 and xfer.intra_cpu > 0
@@ -95,14 +90,12 @@ def test_roundsim_does_not_branch_on_ingress_kind():
 def test_custom_ingress_stage_flows_through_engine():
     """A scenario-registered ingress variant is picked up by the engine via
     config alone — no roundsim changes."""
-    registered = "free-ingress" in INGRESS_STAGES.names()
+    registered = "free-ingress" in POLICIES.names("ingress")
     if not registered:
 
-        @INGRESS_STAGES.register("free-ingress")
+        @policy("ingress", "free-ingress")
         class FreeIngress(ServerlessBrokerIngress):
             """Zero-cost ingress: isolates the aggregation path."""
-
-            name = "free-ingress"
 
             def costs(self, cfg, cal, nbytes):
                 return IngressCosts(0.0, 0.0, 0.0, 0.0)
@@ -125,7 +118,7 @@ def test_custom_ingress_stage_flows_through_engine():
 
 
 def test_warm_pool_lifecycle_stocks_and_drains():
-    lifecycle = WarmPoolLifecycle()
+    lifecycle = LifecycleStage()
     lifecycle.begin_round()
     lifecycle.end_round(PlatformConfig.lifl(), {"node0": 3})
     assert lifecycle.warm.total() == 3
@@ -133,46 +126,36 @@ def test_warm_pool_lifecycle_stocks_and_drains():
     assert lifecycle.warm.total() == 2
     assert not lifecycle.warm.take("node1")
     # no stocking when the config disables reuse
-    lifecycle2 = WarmPoolLifecycle()
+    lifecycle2 = LifecycleStage()
     lifecycle2.end_round(PlatformConfig.serverless(), {"node0": 3})
     assert lifecycle2.warm.total() == 0
 
 
-def test_engine_exposes_stage_objects_and_warm_alias():
+def test_engine_exposes_stage_objects():
     engine = RoundEngine(PlatformConfig.lifl(), ["node0"])
     assert isinstance(engine.ingress, GatewayIngress)
-    assert engine.warm is engine.lifecycle.warm
+    assert isinstance(engine.transfer, TransferStage)
+    assert isinstance(engine.lifecycle, LifecycleStage)
 
 
-def test_lifecycle_stage_raising_mid_round_propagates():
+def test_lifecycle_raising_mid_round_propagates():
     """A stage that blows up during instance creation must surface, not be
     swallowed by the event loop."""
-    registered = "exploding" in LIFECYCLE_STAGES.names()
-    if not registered:
 
-        @LIFECYCLE_STAGES.register("exploding")
-        class ExplodingLifecycle(WarmPoolLifecycle):
-            name = "exploding"
+    class ExplodingLifecycle(LifecycleStage):
+        def ensure_created(self, inst, env, cfg, finished_on_node, admission=None):
+            raise RuntimeError("stage failed mid-round")
 
-            def ensure_created(self, inst, env, cfg, finished_on_node, admission=None):
-                raise RuntimeError("stage failed mid-round")
-
-    cfg = PlatformConfig.lifl(lifecycle_stage="exploding")
+    engine = RoundEngine(PlatformConfig.lifl(), ["node0"])
+    engine.lifecycle = ExplodingLifecycle()
     with pytest.raises(RuntimeError, match="stage failed mid-round"):
-        RoundEngine(cfg, ["node0"]).run_round(_updates(), _one_node_plan(), include_eval=False)
-
-
-def test_base_lifecycle_cannot_restart_crashed_instances():
-    stage = WarmPoolLifecycle()
-    with pytest.raises(ConfigError, match="resilient"):
-        stage.restart_instance(object(), None, PlatformConfig.lifl())
+        engine.run_round(_updates(), _one_node_plan(), include_eval=False)
 
 
 def test_resilient_lifecycle_restart_accounting_warm_then_cold():
     """A restart is funded from the warm pool when one is available on the
     node (instant takeover), otherwise it pays a cold start."""
     from repro.core.aggregator import AggregatorCosts, AggregatorInstance, InstanceState
-    from repro.core.stages import ResilientLifecycle
     from repro.sim.engine import Environment
 
     env = Environment()
@@ -190,35 +173,25 @@ def test_resilient_lifecycle_restart_accounting_warm_then_cold():
     )
     inst.ensure_created(reused=True)
     env.run(until=1.0)
-    cfg = PlatformConfig.lifl(lifecycle_stage="resilient")
-    stage = ResilientLifecycle()
+    cfg = PlatformConfig.lifl()
+    stage = LifecycleStage()
     stage.warm.put("node0", 1)
 
     stage.restart_instance(inst, env, cfg)
-    assert (stage.restarts, stage.warm_restarts, stage.cold_restarts) == (1, 1, 0)
     assert inst.state is InstanceState.READY  # warm takeover is instant
+    assert (inst.stats.restarts, inst.stats.reused) == (1, True)
     assert stage.warm.total() == 0
 
     stage.restart_instance(inst, env, cfg)  # pool empty -> cold restart
-    assert (stage.restarts, stage.warm_restarts, stage.cold_restarts) == (2, 1, 1)
     assert inst.state is InstanceState.STARTING
+    assert inst.stats.reused is False
     env.run()
     assert inst.stats.restarts == 2
 
-    # begin_round resets the per-round accounting but keeps the pool
+    # begin_round keeps the pool
     stage.warm.put("node0", 2)
     stage.begin_round()
-    assert (stage.restarts, stage.warm_restarts, stage.cold_restarts) == (0, 0, 0)
     assert stage.warm.total() == 2
-
-
-def test_resilient_stage_registered_and_resolves():
-    from repro.core.stages import ResilientLifecycle
-
-    assert "resilient" in LIFECYCLE_STAGES.names()
-    stage = resolve_lifecycle(PlatformConfig.lifl(lifecycle_stage="resilient"))
-    assert isinstance(stage, ResilientLifecycle)
-    assert isinstance(stage, WarmPoolLifecycle)  # inherits warm-pool behaviour
 
 
 def test_ramp_admission_is_round_start_relative():
@@ -229,7 +202,7 @@ def test_ramp_admission_is_round_start_relative():
     from repro.sim.engine import Environment
 
     cfg = PlatformConfig.serverless()  # ramp_delay 6, no prewarm, no reuse
-    stage = WarmPoolLifecycle()
+    stage = LifecycleStage()
     env = Environment()
     created: list[float] = []
 
@@ -257,7 +230,7 @@ def test_ramp_admission_contexts_do_not_clobber():
     from repro.sim.engine import Environment
 
     cfg = PlatformConfig.serverless()
-    stage = WarmPoolLifecycle()
+    stage = LifecycleStage()
     env = Environment()
     created: dict[str, list[float]] = {"a": [], "b": []}
 
@@ -287,7 +260,7 @@ def test_ramp_admission_contexts_do_not_clobber():
 def test_coalesced_gateway_stage_registered():
     from repro.core.stages import CoalescedGatewayIngress
 
-    assert "gateway-coalesced" in INGRESS_STAGES.names()
+    assert "gateway-coalesced" in POLICIES.names("ingress")
     stage = resolve_ingress(PlatformConfig.lifl(ingress_stage="gateway-coalesced"))
     assert isinstance(stage, CoalescedGatewayIngress)
     assert isinstance(stage, GatewayIngress)  # same admission resources

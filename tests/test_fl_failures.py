@@ -1,113 +1,17 @@
-"""Asynchronous aggregation (Fig. 11) and failure handling (§3)."""
+"""Failure handling (§3): keep-alive heartbeats and client dropouts."""
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 
 from repro.common.errors import ConfigError
 from repro.common.rng import make_rng
-from repro.core.async_aggregation import (
-    AsyncAggregator,
-    AsyncConfig,
-    polynomial_staleness_weight,
-)
 from repro.fl.failures import HeartbeatMonitor, apply_dropouts
-from repro.fl.fedavg import ModelUpdate
-from repro.fl.model import Model
+from repro.fl.model import model_spec
 from repro.fl.selector import Selector, SelectorConfig
 from repro.workloads.fedscale import MOBILE_PROFILE, make_population
 from repro.workloads.traces import generate_round_trace
-from repro.fl.model import model_spec
 
-
-def mk_update(value, weight=1.0, producer=""):
-    return ModelUpdate(Model({"w": np.array([float(value)])}), weight=weight, producer=producer)
-
-
-def mk_agg(goal=2, concurrency=4, eager=True, **kw):
-    return AsyncAggregator(Model({"w": np.zeros(1)}), AsyncConfig(goal, concurrency, eager=eager, **kw))
-
-
-def test_publishes_every_goal_updates():
-    agg = mk_agg(goal=2)
-    assert agg.submit(mk_update(1.0), 0) is None
-    rec = agg.submit(mk_update(3.0), 0)
-    assert rec is not None and rec.version == 1
-    np.testing.assert_allclose(rec.model["w"], [2.0])  # fresh updates, equal weight
-    assert agg.current_version == 1
-
-
-def test_eager_and_lazy_publish_identical_versions():
-    submissions = [(mk_update(v, weight=w), 0) for v, w in [(1, 1), (5, 3), (2, 2), (8, 1)]]
-    eager, lazy = mk_agg(eager=True), mk_agg(eager=False)
-    for (u, v) in submissions:
-        eager.submit(u, min(v, eager.current_version))
-    for (u, v) in submissions:
-        lazy.submit(u, min(v, lazy.current_version))
-    assert len(eager.history) == len(lazy.history) == 2
-    for a, b in zip(eager.history, lazy.history):
-        assert a.model.allclose(b.model)
-
-
-def test_staleness_discount_reduces_influence():
-    # Two updates, same weight: one fresh, one stale by 3 versions.
-    agg = mk_agg(goal=2)
-    # Advance to version 3 first.
-    for _ in range(3):
-        agg.submit(mk_update(0.0), agg.current_version)
-        agg.submit(mk_update(0.0), agg.current_version)
-    assert agg.current_version == 3
-    rec = None
-    agg.submit(mk_update(10.0), 3)  # fresh
-    rec = agg.submit(mk_update(-10.0), 0)  # staleness 3
-    w_fresh, w_stale = 1.0, polynomial_staleness_weight(3)
-    expected = (10.0 * w_fresh - 10.0 * w_stale) / (w_fresh + w_stale)
-    np.testing.assert_allclose(rec.model["w"], [expected], rtol=1e-9)
-    assert rec.mean_staleness == pytest.approx(1.5)
-
-
-def test_too_stale_updates_dropped():
-    agg = mk_agg(goal=2, max_staleness=0)
-    for _ in range(2):
-        agg.submit(mk_update(1.0), agg.current_version)
-        agg.submit(mk_update(1.0), agg.current_version)
-    assert agg.current_version >= 1
-    before = agg.current_version
-    assert agg.submit(mk_update(5.0), 0) is None  # staleness >= 1 -> dropped
-    assert agg.dropped_stale == 1
-    assert agg.current_version == before
-
-
-def test_future_version_rejected():
-    agg = mk_agg()
-    with pytest.raises(ConfigError):
-        agg.submit(mk_update(1.0), trained_on_version=5)
-
-
-def test_checkout_snapshot_is_isolated():
-    agg = mk_agg()
-    version, snapshot = agg.checkout()
-    snapshot["w"][0] = 999.0
-    assert agg.global_model["w"][0] == 0.0
-    assert version == 0
-
-
-def test_staleness_weight_properties():
-    assert polynomial_staleness_weight(0) == 1.0
-    assert polynomial_staleness_weight(3) < polynomial_staleness_weight(1)
-    with pytest.raises(ConfigError):
-        polynomial_staleness_weight(-1)
-
-
-def test_async_config_validation():
-    with pytest.raises(ConfigError):
-        AsyncConfig(aggregation_goal=0, concurrency=4)
-    with pytest.raises(ConfigError):
-        AsyncConfig(aggregation_goal=4, concurrency=2)
-
-
-# ---- failures -------------------------------------------------------------
 
 def test_heartbeat_lifecycle():
     hb = HeartbeatMonitor(timeout=10.0)

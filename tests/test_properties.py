@@ -18,8 +18,8 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.common.rng import make_rng
-from repro.controlplane.autoscaler import EwmaEstimator
 from repro.controlplane.hierarchy import plan_hierarchy
+from repro.controlplane.metrics import EwmaEstimator
 from repro.controlplane.placement import NodeCapacity
 from repro.core.policies import POLICIES, resolve_policy
 from repro.fl.fedavg import FedAvgAccumulator, ModelUpdate, federated_average

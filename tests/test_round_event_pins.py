@@ -210,7 +210,7 @@ def test_round_event_sequence_is_pinned(name: str) -> None:
 #: (stage, uid, instant, node, (count, queue_length) of that node's
 #: admission resource just before the dropout) in the chaos round's
 #: schedule; the snapshot shows the update is where the stage says
-DROPOUT_STAGES = [
+DROPOUT_CASES = [
     ("pending-start", 2, 1.0, "node0", (1, 0)),
     ("queued-for-gateway", 5, 0.4, "node0", (1, 1)),
     ("holding-gateway", 3, 2.4, "node0", (1, 1)),
@@ -222,7 +222,7 @@ DROPOUT_STAGES = [
 
 
 @pytest.mark.parametrize(
-    "uid,at,node,snapshot", [s[1:] for s in DROPOUT_STAGES], ids=[s[0] for s in DROPOUT_STAGES]
+    "uid,at,node,snapshot", [s[1:] for s in DROPOUT_CASES], ids=[s[0] for s in DROPOUT_CASES]
 )
 def test_dropout_releases_admission_at_every_ingress_stage(
     monkeypatch, uid: int, at: float, node: str, snapshot: tuple[int, int]
