@@ -13,7 +13,7 @@ from repro.common.rng import make_rng
 from repro.common.units import RESNET152_BYTES
 from repro.controlplane.metrics import EwmaEstimator
 from repro.core.platform import AggregationPlatform, PlatformConfig
-from repro.workloads.arrival import concurrent_arrivals, staggered_arrivals
+from repro.workloads.arrival import staggered_arrivals
 
 
 def run_platform(cfg, n=20, spread=3.0, rounds=2):

@@ -25,8 +25,8 @@ from repro.core.results import RoundSample, WorkloadResult
 from repro.fl.convergence import AccuracyCurve
 from repro.fl.model import ModelSpec
 from repro.fl.selector import Selector, SelectorConfig
+from repro.workloads.arrival import generate_round_trace
 from repro.workloads.fedscale import FedScalePopulation
-from repro.workloads.traces import generate_round_trace
 
 
 @dataclass(frozen=True)

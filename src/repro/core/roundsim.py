@@ -57,18 +57,13 @@ from repro.controlplane.hierarchy import HierarchyPlan, Role
 from repro.core.aggregator import AggregatorCosts, AggregatorInstance
 from repro.core.platform import PlatformConfig
 from repro.core.results import RoundResult
-from repro.core.stages import (
-    LifecycleStage,
-    TransferStage,
-    WarmState,
-    resolve_ingress,
-)
+from repro.core.stages import LifecycleStage, TransferStage, resolve_ingress
 from repro.core.updates import MailboxItem, SimUpdate
 from repro.dataplane.calibration import DEFAULT_CALIBRATION, DataplaneCalibration
 from repro.sim.engine import Environment, Event, Interrupt, Timeout
 from repro.sim.resources import Resource
 
-__all__ = ["RoundEngine", "TenantRound", "WarmState", "required_leaf_capacity"]
+__all__ = ["RoundEngine", "TenantRound", "required_leaf_capacity"]
 
 
 @dataclass

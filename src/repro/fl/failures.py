@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.common.errors import ConfigError
-from repro.workloads.traces import ClientArrival, RoundTrace
+from repro.workloads.arrival import ClientArrival, RoundTrace
 
 
 @dataclass

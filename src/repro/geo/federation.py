@@ -66,7 +66,7 @@ from repro.telemetry.bus import (
     merge_streams,
 )
 from repro.traces.models import Trace, TraceEvent
-from repro.traces.replay import ReplayConfig, ReplayResult, validate_replay_inputs
+from repro.traces.replay import ReplayConfig, ReplayResult, ReplaySpec
 from repro.traces.shard import ShardReport, run_cell
 from repro.traces.slo import SloTracker
 
@@ -306,11 +306,13 @@ class GeoReplayResult:
 class GeoReplayEngine:
     """Replay one trace across a region topology and merge exactly.
 
-    Mirrors :class:`~repro.traces.shard.ShardedReplayEngine`'s knobs;
-    ``platform_factory`` takes the *region name* so cells can brand their
-    node fleets, and ``fault_plan`` here is **region-scoped** (partition
-    windows naming regions — see
-    :func:`~repro.geo.topology.validate_geo_faults`).
+    Takes :class:`~repro.traces.replay.TraceReplayEngine`'s replay
+    inputs, which every region cell is served with as one
+    :class:`~repro.traces.replay.ReplaySpec`, except ``fault_plan``: it
+    is **region-scoped** here (partition windows naming regions — see
+    :func:`~repro.geo.topology.validate_geo_faults`) and stays out of the
+    cells.  ``platform_factory`` takes the *region name* so cells can
+    brand their node fleets.
     """
 
     def __init__(
@@ -342,26 +344,21 @@ class GeoReplayEngine:
         self.topology = topology
         self.platform_factory = platform_factory
         self.trace = trace
-        self.config = config or ReplayConfig()
-        # No fault plan here: geo's is region-scoped and checked below.
-        validate_replay_inputs(
-            self.config,
-            availability=availability,
-            selector=selector,
-            clients=clients,
-            chaos=chaos,
-            population=population,
-            controller=controller,
+        # The cells' spec carries no fault plan: geo's is region-scoped,
+        # checked below, and applied by routing and the WAN phase.
+        self.spec = ReplaySpec(
+            config or ReplayConfig(),
+            availability,
+            weights,
+            selector,
+            clients,
+            chaos,
+            seed,
+            population,
+            controller,
         )
+        self.spec.validate()
         self.homes = dict(homes) if homes else None
-        self.availability = availability
-        self.weights = weights
-        self.selector = selector
-        self.clients = clients
-        self.chaos = chaos
-        self.seed = seed
-        self.population = population
-        self.controller = controller
         self.fault_plan = fault_plan
         #: bytes one cross-region shipment carries (the *aggregated*
         #: update — one model's worth, not the round's full ingress)
@@ -389,11 +386,9 @@ class GeoReplayEngine:
         ]
 
         def replay(task: tuple[int, str, Trace]) -> RegionReport:
-            # No fault plan: geo's is region-scoped, and routing plus the
-            # WAN phase apply it.
             index, region, sub = task
             rep = run_cell(
-                self,
+                self.spec,
                 partial(self.platform_factory, region),
                 sub,
                 shard=index,
@@ -436,14 +431,14 @@ class GeoReplayEngine:
         root = self.topology.root
         if self.topology.n_regions == 1:
             return []
-        nbytes = self.wan_nbytes if self.wan_nbytes is not None else self.config.nbytes
+        nbytes = self.wan_nbytes if self.wan_nbytes is not None else self.spec.config.nbytes
         pending: list[WanShipment] = []
         for rep in reports:
             if rep.region == root:
                 continue
             spec = self.topology.link(rep.region, root)
             for rec in rep.result.records:
-                if rec.aborted or rec.rejected or rec.shed or rec.complete_at < 0:
+                if rec.state != "settled":
                     continue
                 pending.append(
                     WanShipment(
@@ -514,7 +509,7 @@ class GeoReplayEngine:
         """
         if len(reports) == 1:
             return reports[0].result
-        cfg = self.config
+        cfg = self.spec.config
         extra = {(s.tenant, s.round_id): s.wan_extra_s for s in shipments}
         merged = ReplayResult.merge(
             [rep.result for rep in reports],

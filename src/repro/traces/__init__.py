@@ -37,6 +37,7 @@ from repro.traces.replay import (
     ChaosCorrelation,
     ReplayConfig,
     ReplayResult,
+    ReplaySpec,
     RoundRecord,
     TraceReplayEngine,
 )
@@ -56,6 +57,7 @@ __all__ = [
     "LatencyDigest",
     "ReplayConfig",
     "ReplayResult",
+    "ReplaySpec",
     "RoundRecord",
     "ShardPlan",
     "ShardReport",

@@ -41,6 +41,12 @@ simulation clock and admits rounds as their arrival events fire —
   (partitions / NIC degradations / slow nodes) for the controller to
   react to.
 
+Structure: the inputs other than platform and trace are one frozen
+:class:`ReplaySpec`.  Each run builds a private serving loop whose methods
+are the phases of a round's life, and every :class:`RoundRecord` moves
+along the :data:`ROUND_MOVES` table, so a round reaches exactly one
+terminal outcome: settled, aborted, rejected or shed.
+
 Determinism: every random draw (participants, arrival offsets, chaos
 victims) derives from ``(seed, tenant, round_id)`` — never from admission
 timing — so a replay is byte-reproducible from its seed.
@@ -55,9 +61,10 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
+from functools import partial
 from typing import TYPE_CHECKING
 
-from repro.common.errors import ChaosError, ConfigError
+from repro.common.errors import ChaosError, ConfigError, SimulationError
 from repro.common.rng import RngRegistry, make_rng
 from repro.common.units import RESNET18_BYTES
 from repro.core.policies import AdmissionContext, SelectionContext, resolve_policy
@@ -79,12 +86,13 @@ if TYPE_CHECKING:  # import-light: replay only needs these for typing
     from repro.traces.shard import ShardedReplayResult
 
 __all__ = [
+    "ROUND_MOVES",
     "ChaosCorrelation",
     "ReplayConfig",
     "ReplayResult",
+    "ReplaySpec",
     "RoundRecord",
     "TraceReplayEngine",
-    "validate_replay_inputs",
 ]
 
 
@@ -198,9 +206,24 @@ class ChaosCorrelation:
         return min(self.max_fraction, round(self.max_fraction * depth, 6))
 
 
+#: The round lifecycle: each state -> the states a round may move to from
+#: it.  The four terminal states (settled, aborted, rejected, shed) lead
+#: nowhere, so every round reaches exactly one of them, once.
+ROUND_MOVES: dict[str, tuple[str, ...]] = {
+    "arrived": ("queued", "deferred", "admitted", "rejected"),
+    "queued": ("admitted", "rejected"),
+    "deferred": ("queued", "shed"),
+    "admitted": ("installed", "shed"),
+    "installed": ("settled", "aborted"),
+}
+
+
 @dataclass
 class RoundRecord:
-    """One served round's life: arrival → admission → completion."""
+    """One served round's life: arrival → admission → completion.
+
+    ``state`` walks :data:`ROUND_MOVES` through :meth:`move`, which
+    refuses every other step."""
 
     tenant: int
     round_id: int
@@ -208,15 +231,34 @@ class RoundRecord:
     updates: int
     admit_at: float = -1.0
     complete_at: float = -1.0
-    aborted: bool = False
-    rejected: bool = False
+    state: str = "arrived"
     #: waited in the controller's deferral room past the bounded queue
     deferred: bool = False
-    #: dropped by the control plane (deferral deadline or placement retries)
-    shed: bool = False
     chaos_fraction: float = 0.0
     #: participant (offset, weight) pairs sampled at arrival time
     participants: list[tuple[float, float]] = field(default_factory=list)
+
+    def move(self, state: str) -> None:
+        if state not in ROUND_MOVES.get(self.state, ()):
+            raise SimulationError(
+                f"round t{self.tenant}r{self.round_id} cannot move "
+                f"{self.state} -> {state}"
+            )
+        self.state = state
+
+    @property
+    def aborted(self) -> bool:
+        return self.state == "aborted"
+
+    @property
+    def rejected(self) -> bool:
+        return self.state == "rejected"
+
+    @property
+    def shed(self) -> bool:
+        """Dropped by the control plane (deferral deadline or placement
+        retries)."""
+        return self.state == "shed"
 
     @property
     def queue_wait(self) -> float:
@@ -321,64 +363,72 @@ class ReplayResult:
         return out
 
 
-def validate_replay_inputs(
-    config: ReplayConfig,
-    *,
-    availability: AvailabilityTrace | None = None,
-    selector: "Selector | None" = None,
-    clients: "list[FLClient] | None" = None,
-    chaos: ChaosCorrelation | None = None,
-    population: "ClientPopulation | None" = None,
-    controller: "ControllerConfig | None" = None,
-    fault_plan: "FaultPlan | None" = None,
-) -> None:
-    """Raise :class:`ConfigError` for replay inputs no engine can run.
+@dataclass(frozen=True)
+class ReplaySpec:
+    """Everything a replay serves a trace with, apart from the platform.
 
-    Every replay engine calls this at construction, so the sharded and geo
-    engines reject a bad combination before any worker forks."""
-    config.validate()
-    if population is not None:
-        # The struct-of-arrays path: availability masks, selection, and
-        # weights all come from the population's arrays — it replaces
-        # the clients-list + AvailabilityTrace + weights-dict trio.
-        if clients is not None:
-            raise ConfigError("population and clients are mutually exclusive")
-        if selector is None:
-            raise ConfigError("population-driven replay needs a selector")
-        if availability is not None:
-            raise ConfigError(
-                "population carries its own availability windows — "
-                "do not also pass an availability trace"
-            )
+    The sharded and geo engines hand one spec to every serving cell, and
+    each engine calls :meth:`validate` at construction, so a bad
+    combination fails before any worker forks."""
+
+    config: ReplayConfig = field(default_factory=ReplayConfig)
+    availability: AvailabilityTrace | None = None
+    weights: dict[str, float] | None = None
+    selector: "Selector | None" = None
+    clients: "list[FLClient] | None" = None
+    chaos: ChaosCorrelation | None = None
+    seed: int = 0
+    population: "ClientPopulation | None" = None
+    controller: "ControllerConfig | None" = None
+    fault_plan: "FaultPlan | None" = None
+
+    def validate(self) -> None:
+        """Raise :class:`ConfigError` for inputs no engine can run."""
+        self.config.validate()
+        selector, clients, chaos = self.selector, self.clients, self.chaos
+        availability, population = self.availability, self.population
+        if population is not None:
+            # The struct-of-arrays path: availability masks, selection, and
+            # weights all come from the population's arrays — it replaces
+            # the clients-list + AvailabilityTrace + weights-dict trio.
+            if clients is not None:
+                raise ConfigError("population and clients are mutually exclusive")
+            if selector is None:
+                raise ConfigError("population-driven replay needs a selector")
+            if availability is not None:
+                raise ConfigError(
+                    "population carries its own availability windows — "
+                    "do not also pass an availability trace"
+                )
+            if chaos is not None:
+                raise ConfigError(
+                    "chaos correlation needs the AvailabilityTrace path "
+                    "(population replay does not support it yet)"
+                )
+            if population.total_windows == 0:
+                raise ConfigError(
+                    "population-driven replay needs availability windows "
+                    "(generate with horizon > 0)"
+                )
+        elif (selector is None) != (clients is None):
+            raise ConfigError("selector and clients must be given together")
+        if selector is not None and availability is None and population is None:
+            raise ConfigError("selector-driven replay needs an availability trace")
         if chaos is not None:
-            raise ConfigError(
-                "chaos correlation needs the AvailabilityTrace path "
-                "(population replay does not support it yet)"
-            )
-        if population.total_windows == 0:
-            raise ConfigError(
-                "population-driven replay needs availability windows "
-                "(generate with horizon > 0)"
-            )
-    elif (selector is None) != (clients is None):
-        raise ConfigError("selector and clients must be given together")
-    if selector is not None and availability is None and population is None:
-        raise ConfigError("selector-driven replay needs an availability trace")
-    if chaos is not None:
-        chaos.validate()
-        if availability is None:
-            raise ConfigError("chaos correlation needs an availability trace")
-    if controller is not None:
-        controller.validate()
-    if fault_plan is not None:
-        fault_plan.validate()
-        if fault_plan.crashes or fault_plan.dropouts:
-            raise ConfigError(
-                "a replay fault_plan must be fabric-only (partitions, "
-                "NIC degradations, slow nodes) — crash/dropout events "
-                "target a single round's aggregators and belong to "
-                "ChaosCorrelation or FaultInjector.install()"
-            )
+            chaos.validate()
+            if availability is None:
+                raise ConfigError("chaos correlation needs an availability trace")
+        if self.controller is not None:
+            self.controller.validate()
+        if self.fault_plan is not None:
+            self.fault_plan.validate()
+            if self.fault_plan.crashes or self.fault_plan.dropouts:
+                raise ConfigError(
+                    "a replay fault_plan must be fabric-only (partitions, "
+                    "NIC degradations, slow nodes) — crash/dropout events "
+                    "target a single round's aggregators and belong to "
+                    "ChaosCorrelation or FaultInjector.install()"
+                )
 
 
 class TraceReplayEngine:
@@ -389,6 +439,8 @@ class TraceReplayEngine:
     FL selector's over-provisioning policy; ``chaos`` couples dropout
     waves to availability dips.  The platform's engine, lifecycle stage
     (warm pool), and node fleet are shared by every round of the replay.
+    The inputs other than the platform and trace are kept as one
+    :class:`ReplaySpec`.
     """
 
     def __init__(
@@ -418,26 +470,21 @@ class TraceReplayEngine:
         self._platform_supplied = platform is not None
         self.platform_factory = platform_factory
         self.trace = trace
-        self.config = config or ReplayConfig()
-        self.availability = availability
-        self.weights = dict(weights) if weights else {}
-        validate_replay_inputs(
-            self.config,
-            availability=availability,
-            selector=selector,
-            clients=clients,
-            chaos=chaos,
-            population=population,
-            controller=controller,
-            fault_plan=fault_plan,
+        # Copies of the caller's weights and clients; None stays None, so
+        # the selector/clients pairing check sees what was passed.
+        self.spec = ReplaySpec(
+            config or ReplayConfig(),
+            availability,
+            dict(weights) if weights is not None else None,
+            selector,
+            list(clients) if clients is not None else None,
+            chaos,
+            seed,
+            population,
+            controller,
+            fault_plan,
         )
-        self.selector = selector
-        self.clients = list(clients) if clients else []
-        self.population = population
-        self.chaos = chaos
-        self.controller_config = controller
-        self.fault_plan = fault_plan
-        self.seed = seed
+        self.spec.validate()
         #: the telemetry bus this replay emits into: an explicit argument
         #: wins, else the ambient bus a ``capture()`` block installed, else
         #: None — and a bus nobody subscribed to drops to None at run
@@ -458,15 +505,16 @@ class TraceReplayEngine:
     def _selection_name(self) -> str:
         """The configured selection policy, or the default derived from
         the inputs given — exactly the pre-registry branch order."""
-        name = self.config.selection_policy
+        spec = self.spec
+        name = spec.config.selection_policy
         if not name:
-            if self.population is not None:
+            if spec.population is not None:
                 return "population"
-            return "availability-aware" if self.selector is not None else "random"
-        if name == "population" and self.population is None:
+            return "availability-aware" if spec.selector is not None else "random"
+        if name == "population" and spec.population is None:
             raise ConfigError("selection policy 'population' needs a population")
         if name == "availability-aware" and (
-            self.selector is None or self.availability is None
+            spec.selector is None or spec.availability is None
         ):
             raise ConfigError(
                 "selection policy 'availability-aware' needs selector, "
@@ -478,31 +526,27 @@ class TraceReplayEngine:
         """The configured admission policy, or the default: the bounded
         queue — upgraded to the controller's deferral discipline when one
         runs with a deadline, as before the registry."""
-        name = self.config.admission_policy
+        name = self.spec.config.admission_policy
         if name:
             return name
-        ctl = self.controller_config
+        ctl = self.spec.controller
         if ctl is not None and ctl.defer_deadline_s > 0:
             return "defer-with-deadline"
         return "bounded-queue"
 
-    @property
-    def _defer_deadline_s(self) -> float:
-        ctl = self.controller_config
-        return ctl.defer_deadline_s if ctl is not None else self.config.defer_deadline_s
-
     # ----------------------------------------------------------- participants
     def _selection_context(self, ev) -> SelectionContext:
+        spec = self.spec
         return SelectionContext(
             at=ev.at,
             tenant=ev.tenant,
             round_id=ev.round_id,
-            round_updates=self.config.round_updates,
-            availability=self.availability,
-            weights=self.weights,
-            selector=self.selector,
-            clients=self.clients,
-            population=self.population,
+            round_updates=spec.config.round_updates,
+            availability=spec.availability,
+            weights=spec.weights or {},
+            selector=spec.selector,
+            clients=spec.clients or [],
+            population=spec.population,
         )
 
     def _participants(self, ev) -> list[tuple[float, float]]:
@@ -515,7 +559,6 @@ class TraceReplayEngine:
         so a registered default reproduces the pre-registry stream
         exactly.
         """
-        cfg = self.config
         # Derived, not memoized: the round draws from its stream in this
         # one call, and a registry entry per round would grow with the
         # replay's history.
@@ -524,7 +567,7 @@ class TraceReplayEngine:
         picked = self._selection.select(ctx, rng)
         if len(picked) == 0:
             return []
-        spread = cfg.arrival_spread_s
+        spread = self.spec.config.arrival_spread_s
         offsets = (
             rng.uniform(0.0, spread, size=len(picked))
             if spread > 0
@@ -566,68 +609,76 @@ class TraceReplayEngine:
             from repro.traces.shard import ShardedReplayEngine
 
             return ShardedReplayEngine(
-                self.platform_factory,
-                self.trace,
-                self.config,
-                availability=self.availability,
-                weights=self.weights or None,
-                selector=self.selector,
-                clients=self.clients or None,
-                chaos=self.chaos,
-                seed=self.seed,
-                shards=shards,
-                workers=workers,
-                population=self.population,
-                controller=self.controller_config,
-                fault_plan=self.fault_plan,
-                telemetry=self.telemetry,
+                self.platform_factory, self.trace, self.spec, shards, workers, self.telemetry
             ).run(inline=inline)
         if self.platform is None:
             self.platform = self.platform_factory()
-        cfg = self.config
-        ctl_cfg = self.controller_config
-        #: None unless someone is listening — every emission site below is
-        #: guarded on this local, so an unsubscribed replay does no
-        #: telemetry work at all
-        tel = self.telemetry.or_none() if self.telemetry is not None else None
-        engine = self.platform.engine
-        env = Environment()
-        fabric = engine.build_fabric(env)
-        if self.fault_plan is not None:
+        return _ServingLoop(self).run()
+
+
+#: the tracker tally each non-settled terminal state counts into
+_TALLIES = {"aborted": "abort", "rejected": "reject", "shed": "shed"}
+
+
+class _ServingLoop:
+    """One run of a :class:`TraceReplayEngine`: the state its rounds share
+    and one method per phase of a round's life.  Each phase moves the
+    round along :data:`ROUND_MOVES`; :meth:`_end` is the one way out."""
+
+    def __init__(self, replay: TraceReplayEngine) -> None:
+        self.replay = replay
+        self.trace = replay.trace
+        spec = self.spec = replay.spec
+        cfg = self.cfg = spec.config
+        ctl_cfg = self.ctl_cfg = spec.controller
+        self.platform = replay.platform
+        engine = self.engine = replay.platform.engine
+        #: None unless someone is listening — every emission site is
+        #: guarded on it, so an unsubscribed replay does no telemetry
+        #: work at all
+        tel = self.tel = (
+            replay.telemetry.or_none() if replay.telemetry is not None else None
+        )
+        env = self.env = Environment()
+        self.fabric = engine.build_fabric(env)
+        if spec.fault_plan is not None:
             from repro.chaos import FaultInjector
 
-            FaultInjector(self.fault_plan, telemetry=tel).install_fabric(env, fabric)
-        admission = self._admission
-        defer_deadline_s = self._defer_deadline_s
+            FaultInjector(spec.fault_plan, telemetry=tel).install_fabric(
+                env, self.fabric
+            )
+        self.admission = replay._admission
+        #: a controller's deferral budget takes precedence over the config's
+        self.defer_deadline_s = (ctl_cfg or cfg).defer_deadline_s
         if ctl_cfg is None:
             # A standalone deferral policy sheds rounds just like the
             # controller's would — surface the shed/deferred columns then.
             tracker = SloTracker(
                 cfg.slo_target_s,
-                controller=(admission.name == "defer-with-deadline"),
+                controller=(self.admission.name == "defer-with-deadline"),
             )
         else:
             tracker = SloTracker(
                 cfg.slo_target_s, window_s=ctl_cfg.burn_window_s, controller=True
             )
-        records: list[RoundRecord] = []
+        self.tracker = tracker
         n_tenants = max(self.trace.tenants, 1)
-        inflight = [0] * n_tenants
-        pending: list[deque[RoundRecord]] = [deque() for _ in range(n_tenants)]
+        self.inflight = [0] * n_tenants
+        self.pending: list[deque[RoundRecord]] = [deque() for _ in range(n_tenants)]
         #: overflow arrivals parked with a shed deadline (deferral policy)
-        deferred: list[deque[tuple[RoundRecord, float]]] = [
+        self.deferred: list[deque[tuple[RoundRecord, float]]] = [
             deque() for _ in range(n_tenants)
         ]
-        result = ReplayResult(
-            records=records,
+        self.result = ReplayResult(
+            records=[],
             slo=tracker,
             horizon=self.trace.horizon,
             peak_inflight_per_tenant={t: 0 for t in range(n_tenants)},
             track_cost=cfg.track_cost,
         )
-        #: terminal outcomes seen (reject/shed/abort/complete); the
-        #: controller's tick loop ends when every trace event has one
-        done = [0]
+        #: terminal outcomes seen; the controller's tick loop ends when
+        #: every trace event has one
+        self.done = 0
         if tel is not None:
             # The stream's self-describing prologue: everything a reader
             # needs to rebuild SLO accounting from the records alone.
@@ -640,300 +691,23 @@ class TraceReplayEngine:
                 events=len(self.trace.events),
                 controller=tracker.controller,
             )
-
-        def _shed(rec: RoundRecord, reason: str) -> None:
-            rec.shed = True
-            tracker.shed(at=env.now)
-            if tel is not None:
-                tel.emit(
-                    "round-shed",
-                    env.now,
-                    tenant=rec.tenant,
-                    round_id=rec.round_id,
-                    reason=reason,
-                )
-            if controller is not None:
-                controller._record(
-                    env.now, "shed", f"t{rec.tenant}r{rec.round_id}", 0, reason
-                )
-            done[0] += 1
-
-        def _promote(t: int) -> None:
-            """Move deferred arrivals into the bounded queue as room opens,
-            shedding any whose deadline already passed."""
-            room = deferred[t]
-            while room and len(pending[t]) < cfg.queue_limit:
-                rec, deadline = room.popleft()
-                if deadline <= env.now:
-                    _shed(rec, "deferral deadline")
-                    continue
-                pending[t].append(rec)
-
-        def _sweep(now: float) -> None:
-            """Controller tick hook: expire deferred arrivals in place."""
-            for t in range(n_tenants):
-                room = deferred[t]
-                while room and room[0][1] <= now:
-                    rec, _ = room.popleft()
-                    _shed(rec, "deferral deadline")
-
-        def _drain(t: int) -> None:
-            """Admit queued rounds while the tenant has free slots."""
-            while inflight[t] < limits[t]:
-                _promote(t)  # no-op unless a deferral policy parked rounds
-                queue = pending[t]
-                if not queue:
-                    break
-                admit(queue.popleft())
-
-        def admit(rec: RoundRecord) -> None:
-            if tel is not None:
-                tel.emit(
-                    "round-admitted",
-                    env.now,
-                    tenant=rec.tenant,
-                    round_id=rec.round_id,
-                    queued_s=max(0.0, env.now - rec.arrival_at),
-                )
-            inflight[rec.tenant] += 1
-            total = sum(inflight)
-            if total > result.peak_inflight:
-                result.peak_inflight = total
-            if inflight[rec.tenant] > result.peak_inflight_per_tenant[rec.tenant]:
-                result.peak_inflight_per_tenant[rec.tenant] = inflight[rec.tenant]
-            if controller is not None and ctl_cfg.placement_aware:
-                Process(env, _place(rec), f"place:t{rec.tenant}r{rec.round_id}")
-            else:
-                updates, plan = self.platform.prepare_round(rec.participants, cfg.nbytes)
-                _install(rec, updates, plan)
-
-        def _place(rec: RoundRecord):
-            """Chaos-aware placement: restrict placement to nodes passing
-            the controller's health bar, re-check the chosen plan against a
-            fresh snapshot before install, and retry with backoff when a
-            node degraded in between.  Exhausted retries shed the round."""
-            attempts = 0
-            while True:
-                healthy = controller.healthy_nodes()
-                updates, plan = self.platform.prepare_round(
-                    rec.participants, cfg.nbytes, nodes=healthy or None
-                )
-                bad = controller.plan_unhealthy(plan)
-                if not bad:
-                    _install(rec, updates, plan)
-                    return
-                attempts += 1
-                controller._record(
-                    env.now, "replan", ",".join(bad), 0, f"attempt={attempts}"
-                )
-                if attempts > ctl_cfg.placement_retries:
-                    inflight[rec.tenant] -= 1
-                    _shed(rec, "placement retries exhausted")
-                    _drain(rec.tenant)
-                    return
-                if ctl_cfg.retry_backoff_s > 0:
-                    yield env.timeout(ctl_cfg.retry_backoff_s)
-
-        def _install(rec: RoundRecord, updates, plan) -> None:
-            rec.admit_at = env.now
-            if tel is not None:
-                tel.emit(
-                    "round-installed",
-                    env.now,
-                    tenant=rec.tenant,
-                    round_id=rec.round_id,
-                    updates=rec.updates,
-                )
-            tenant_round = engine.install_round(
-                env, fabric, updates, plan, label=f"t{rec.tenant}r{rec.round_id}"
-            )
-            self._maybe_inject(env, fabric, engine, rec, tenant_round, result, tel)
-            if controller is not None and ctl_cfg.round_deadline_s > 0:
-                deadline_s = ctl_cfg.round_deadline_s
-
-                def watchdog(_evt) -> None:
-                    if tenant_round.top_done.triggered:
-                        return
-                    controller._record(
-                        env.now,
-                        "deadline-abort",
-                        tenant_round.label,
-                        0,
-                        f"deadline={deadline_s}s",
-                    )
-                    tenant_round.top_done.fail(
-                        DeadlineExceeded(tenant_round.label, deadline_s)
-                    )
-
-                env.timeout(deadline_s).callbacks.append(watchdog)
-
-            def settled(evt) -> None:
-                if not evt._ok:
-                    evt.defuse()  # a quorum abort must not crash the replay
-                    rec.aborted = True
-                rec.complete_at = env.now
-                res = engine.finish_round(
-                    tenant_round, cfg.include_eval, start_time=rec.admit_at
-                )
-                result.clients_dropped += res.clients_dropped
-                result.cost_cpu_s += res.cpu_total
-                if rec.aborted:
-                    tracker.abort(at=env.now)
-                    if tel is not None:
-                        tel.emit(
-                            "round-aborted",
-                            env.now,
-                            tenant=rec.tenant,
-                            round_id=rec.round_id,
-                            queue_wait=rec.queue_wait,
-                        )
-                else:
-                    tracker.observe(
-                        rec.queue_wait, rec.service, deferred=rec.deferred, at=env.now
-                    )
-                    if tel is not None:
-                        # Exactly the values the tracker just ingested, so
-                        # slo_from_records rebuilds bit-identical digests.
-                        tel.emit(
-                            "round-settled",
-                            env.now,
-                            tenant=rec.tenant,
-                            round_id=rec.round_id,
-                            queue_wait=rec.queue_wait,
-                            service=rec.service,
-                            latency=rec.latency,
-                            attained=rec.latency <= cfg.slo_target_s,
-                            deferred=rec.deferred,
-                        )
-                done[0] += 1
-                inflight[rec.tenant] -= 1
-                _drain(rec.tenant)
-
-            tenant_round.top_done.callbacks.append(settled)
-
-        def _reject(rec: RoundRecord, reason: str = "queue-full") -> None:
-            rec.rejected = True
-            tracker.reject(at=env.now)
-            if tel is not None:
-                tel.emit(
-                    "round-rejected",
-                    env.now,
-                    tenant=rec.tenant,
-                    round_id=rec.round_id,
-                    reason=reason,
-                )
-            done[0] += 1
-
-        def _apply_admission(rec: RoundRecord) -> None:
-            """Route one overflow arrival through the admission policy."""
-            t = rec.tenant
-            decision = admission.decide(
-                AdmissionContext(
-                    tenant=t,
-                    queue_len=len(pending[t]),
-                    queue_limit=cfg.queue_limit,
-                    now=env.now,
-                    defer_deadline_s=defer_deadline_s,
-                )
-            )
-            if decision == "enqueue":
-                if len(pending[t]) >= cfg.queue_limit:
-                    raise ConfigError(
-                        f"admission policy {admission.name!r} enqueued past "
-                        f"queue_limit={cfg.queue_limit}"
-                    )
-                pending[t].append(rec)
-            elif decision == "defer":
-                rec.deferred = True
-                deadline = env.now + defer_deadline_s
-                deferred[t].append((rec, deadline))
-                if tel is not None:
-                    tel.emit(
-                        "round-deferred",
-                        env.now,
-                        tenant=t,
-                        round_id=rec.round_id,
-                        deadline=deadline,
-                    )
-                if controller is not None:
-                    controller._record(
-                        env.now, "defer", f"t{t}r{rec.round_id}", 0, "queue full"
-                    )
-            elif decision == "evict-oldest":
-                # Head drop: the queue's oldest waiter bounces (a rejection
-                # — it never got served) and the newcomer takes its place.
-                # A zero-length queue has no waiter to evict, so the
-                # newcomer bounces instead.
-                if pending[t]:
-                    _reject(pending[t].popleft(), reason="evicted-oldest")
-                    pending[t].append(rec)
-                else:
-                    _reject(rec)
-            elif decision == "reject":
-                _reject(rec)
-            else:
-                raise ConfigError(
-                    f"admission policy {admission.name!r} returned unknown "
-                    f"decision {decision!r}; valid: enqueue/reject/defer/"
-                    "evict-oldest"
-                )
-
-        def dispatch():
-            for ev in self.trace.events:
-                delay = ev.at - env.now
-                if delay > 0:
-                    yield env.timeout(delay)
-                participants = self._participants(ev)
-                rec = RoundRecord(
-                    tenant=ev.tenant,
-                    round_id=ev.round_id,
-                    arrival_at=ev.at,
-                    updates=len(participants),
-                    participants=participants,
-                )
-                records.append(rec)
-                _promote(ev.tenant)
-                if not participants:
-                    # Nobody available: the service cannot form the round.
-                    _reject(rec, reason="no-participants")
-                elif inflight[ev.tenant] < limits[ev.tenant]:
-                    admit(rec)
-                else:
-                    _apply_admission(rec)
-                if tel is not None:
-                    # One bounded queue-depth sample per trace arrival, for
-                    # the arriving tenant, after its admission decision.
-                    t = ev.tenant
-                    tel.emit(
-                        "queue-sample",
-                        env.now,
-                        tenant=t,
-                        depth=len(pending[t]),
-                        deferred=len(deferred[t]),
-                        inflight=inflight[t],
-                        limit=limits[t],
-                    )
-
-        controller = None
+        self.controller = None
+        self.limits = [cfg.max_inflight] * n_tenants
         if ctl_cfg is not None:
-            from repro.controlplane.reactive import (
-                Controller,
-                DeadlineExceeded,
-                pool_floor_for,
-            )
+            from repro.controlplane.reactive import Controller, pool_floor_for
 
-            if self.fault_plan is not None:
-                quorum_fraction = self.fault_plan.quorum_fraction
-            elif self.chaos is not None:
-                quorum_fraction = self.chaos.quorum_fraction
+            if spec.fault_plan is not None:
+                quorum_fraction = spec.fault_plan.quorum_fraction
+            elif spec.chaos is not None:
+                quorum_fraction = spec.chaos.quorum_fraction
             else:
                 quorum_fraction = 0.5
             pcfg = self.platform.config
             leaves = -(-cfg.round_updates // pcfg.updates_per_leaf)
-            controller = Controller(
+            controller = self.controller = Controller(
                 ctl_cfg,
                 env,
-                fabric,
+                self.fabric,
                 engine.lifecycle.warm,
                 tracker,
                 node_names=engine.node_names,
@@ -942,29 +716,27 @@ class TraceReplayEngine:
                 pool_floor=pool_floor_for(
                     quorum_fraction, cfg.round_updates, pcfg.updates_per_leaf
                 ),
-                queue_depth=lambda t: len(pending[t]) + len(deferred[t]),
-                on_limit_raised=_drain,
-                sweep_deferred=_sweep,
+                queue_depth=self._queue_depth,
+                on_limit_raised=self._drain,
+                sweep_deferred=self._sweep,
                 telemetry=tel,
             )
             controller.instances_per_round = leaves + 1
-            limits = controller.limits
-            result.controller = controller.report
-        else:
-            limits = [cfg.max_inflight] * n_tenants
+            self.limits = controller.limits
+            self.result.controller = controller.report
 
+    def run(self) -> ReplayResult:
+        env, tel, records = self.env, self.tel, self.result.records
         if self.trace.events:
-            Process(env, dispatch(), "trace:dispatch")
-            if controller is not None:
-                expected = len(self.trace.events)
-                controller.start(lambda: done[0] >= expected)
+            Process(env, self._dispatch(), "trace:dispatch")
+            if self.controller is not None:
+                self.controller.start(self._all_done)
             env.run()
-        for t in range(n_tenants):
+        for room in self.deferred:
             # A standalone deferral policy has no controller tick to expire
             # parked arrivals — anything still deferred at horizon is shed.
-            while deferred[t]:
-                rec, _ = deferred[t].popleft()
-                _shed(rec, "replay ended")
+            while room:
+                self._shed(room.popleft()[0], "replay ended")
         if tel is not None:
             from repro.perf.counters import snapshot
 
@@ -981,30 +753,317 @@ class TraceReplayEngine:
                 deferred=sum(1 for r in records if r.deferred),
             )
             tel.emit("perf-snapshot", env.now, **snapshot(env))
-        return result
+        return self.result
 
-    # ----------------------------------------------------------------- chaos
-    def _maybe_inject(
-        self, env, fabric, engine, rec, tenant_round, result, tel=None
-    ) -> None:
+    def _all_done(self) -> bool:
+        return self.done >= len(self.trace.events)
+
+    def _queue_depth(self, t: int) -> int:
+        return len(self.pending[t]) + len(self.deferred[t])
+
+    # ------------------------------------------------------------- arrival
+    def _dispatch(self):
+        env = self.env
+        for ev in self.trace.events:
+            delay = ev.at - env.now
+            if delay > 0:
+                yield env.timeout(delay)
+            self._arrive(ev)
+
+    def _arrive(self, ev) -> None:
+        """Form the round an arrival event names and route it: reject an
+        unformable round, admit into a free slot, else ask the admission
+        policy."""
+        participants = self.replay._participants(ev)
+        rec = RoundRecord(
+            tenant=ev.tenant,
+            round_id=ev.round_id,
+            arrival_at=ev.at,
+            updates=len(participants),
+            participants=participants,
+        )
+        self.result.records.append(rec)
+        t = ev.tenant
+        self._promote(t)
+        if not participants:
+            # Nobody available: the service cannot form the round.
+            self._reject(rec, reason="no-participants")
+        elif self.inflight[t] < self.limits[t]:
+            self._admit(rec)
+        else:
+            self._apply_admission(rec)
+        if self.tel is not None:
+            # One bounded queue-depth sample per trace arrival, for the
+            # arriving tenant, after its admission decision.
+            self.tel.emit(
+                "queue-sample",
+                self.env.now,
+                tenant=t,
+                depth=len(self.pending[t]),
+                deferred=len(self.deferred[t]),
+                inflight=self.inflight[t],
+                limit=self.limits[t],
+            )
+
+    def _apply_admission(self, rec: RoundRecord) -> None:
+        """Route one overflow arrival through the admission policy."""
+        t, now = rec.tenant, self.env.now
+        queue, limit, admission = self.pending[t], self.cfg.queue_limit, self.admission
+        decision = admission.decide(
+            AdmissionContext(
+                tenant=t,
+                queue_len=len(queue),
+                queue_limit=limit,
+                now=now,
+                defer_deadline_s=self.defer_deadline_s,
+            )
+        )
+        if decision == "enqueue":
+            if len(queue) >= limit:
+                raise ConfigError(
+                    f"admission policy {admission.name!r} enqueued past "
+                    f"queue_limit={limit}"
+                )
+            rec.move("queued")
+            queue.append(rec)
+        elif decision == "defer":
+            rec.move("deferred")
+            rec.deferred = True
+            deadline = now + self.defer_deadline_s
+            self.deferred[t].append((rec, deadline))
+            if self.tel is not None:
+                self.tel.emit(
+                    "round-deferred",
+                    now,
+                    tenant=t,
+                    round_id=rec.round_id,
+                    deadline=deadline,
+                )
+            if self.controller is not None:
+                self.controller._record(
+                    now, "defer", f"t{t}r{rec.round_id}", 0, "queue full"
+                )
+        elif decision == "evict-oldest":
+            # Head drop: the queue's oldest waiter bounces (a rejection —
+            # it never got served) and the newcomer takes its place.  A
+            # zero-length queue has no waiter to evict, so the newcomer
+            # bounces instead.
+            if queue:
+                self._reject(queue.popleft(), reason="evicted-oldest")
+                rec.move("queued")
+                queue.append(rec)
+            else:
+                self._reject(rec)
+        elif decision == "reject":
+            self._reject(rec)
+        else:
+            raise ConfigError(
+                f"admission policy {admission.name!r} returned unknown "
+                f"decision {decision!r}; valid: enqueue/reject/defer/"
+                "evict-oldest"
+            )
+
+    # ------------------------------------------------------------ queueing
+    def _promote(self, t: int) -> None:
+        """Move deferred arrivals into the bounded queue as room opens,
+        shedding any whose deadline already passed."""
+        room, queue = self.deferred[t], self.pending[t]
+        while room and len(queue) < self.cfg.queue_limit:
+            rec, deadline = room.popleft()
+            if deadline <= self.env.now:
+                self._shed(rec, "deferral deadline")
+                continue
+            rec.move("queued")
+            queue.append(rec)
+
+    def _sweep(self, now: float) -> None:
+        """Controller tick hook: expire deferred arrivals in place."""
+        for room in self.deferred:
+            while room and room[0][1] <= now:
+                self._shed(room.popleft()[0], "deferral deadline")
+
+    def _drain(self, t: int) -> None:
+        """Admit queued rounds while the tenant has free slots."""
+        queue = self.pending[t]
+        while self.inflight[t] < self.limits[t]:
+            self._promote(t)  # no-op unless a deferral policy parked rounds
+            if not queue:
+                break
+            self._admit(queue.popleft())
+
+    # ------------------------------------------------------------- service
+    def _admit(self, rec: RoundRecord) -> None:
+        """Take a slot for ``rec`` and place it (at once, or through the
+        controller's health-checked placement process)."""
+        env, t, result = self.env, rec.tenant, self.result
+        rec.move("admitted")
+        if self.tel is not None:
+            self.tel.emit(
+                "round-admitted",
+                env.now,
+                tenant=t,
+                round_id=rec.round_id,
+                queued_s=max(0.0, env.now - rec.arrival_at),
+            )
+        inflight = self.inflight
+        inflight[t] += 1
+        total = sum(inflight)
+        if total > result.peak_inflight:
+            result.peak_inflight = total
+        if inflight[t] > result.peak_inflight_per_tenant[t]:
+            result.peak_inflight_per_tenant[t] = inflight[t]
+        if self.controller is not None and self.ctl_cfg.placement_aware:
+            Process(env, self._place(rec), f"place:t{t}r{rec.round_id}")
+        else:
+            updates, plan = self.platform.prepare_round(
+                rec.participants, self.cfg.nbytes
+            )
+            self._install(rec, updates, plan)
+
+    def _place(self, rec: RoundRecord):
+        """Chaos-aware placement: restrict placement to nodes passing
+        the controller's health bar, re-check the chosen plan against a
+        fresh snapshot before install, and retry with backoff when a
+        node degraded in between.  Exhausted retries shed the round."""
+        controller, ctl_cfg = self.controller, self.ctl_cfg
+        attempts = 0
+        while True:
+            healthy = controller.healthy_nodes()
+            updates, plan = self.platform.prepare_round(
+                rec.participants, self.cfg.nbytes, nodes=healthy or None
+            )
+            bad = controller.plan_unhealthy(plan)
+            if not bad:
+                self._install(rec, updates, plan)
+                return
+            attempts += 1
+            controller._record(
+                self.env.now, "replan", ",".join(bad), 0, f"attempt={attempts}"
+            )
+            if attempts > ctl_cfg.placement_retries:
+                self.inflight[rec.tenant] -= 1
+                self._shed(rec, "placement retries exhausted")
+                self._drain(rec.tenant)
+                return
+            if ctl_cfg.retry_backoff_s > 0:
+                yield self.env.timeout(ctl_cfg.retry_backoff_s)
+
+    def _install(self, rec: RoundRecord, updates, plan) -> None:
+        """Start the round on the shared environment and fabric; its top
+        aggregator's completion calls :meth:`_settle`."""
+        env, controller = self.env, self.controller
+        rec.move("installed")
+        rec.admit_at = env.now
+        if self.tel is not None:
+            self.tel.emit(
+                "round-installed",
+                env.now,
+                tenant=rec.tenant,
+                round_id=rec.round_id,
+                updates=rec.updates,
+            )
+        tenant_round = self.engine.install_round(
+            env, self.fabric, updates, plan, label=f"t{rec.tenant}r{rec.round_id}"
+        )
+        self._maybe_inject(rec, tenant_round)
+        if controller is not None and self.ctl_cfg.round_deadline_s > 0:
+            deadline_s = self.ctl_cfg.round_deadline_s
+
+            def watchdog(_evt) -> None:
+                if tenant_round.top_done.triggered:
+                    return
+                from repro.controlplane.reactive import DeadlineExceeded
+
+                controller._record(
+                    env.now,
+                    "deadline-abort",
+                    tenant_round.label,
+                    0,
+                    f"deadline={deadline_s}s",
+                )
+                tenant_round.top_done.fail(
+                    DeadlineExceeded(tenant_round.label, deadline_s)
+                )
+
+            env.timeout(deadline_s).callbacks.append(watchdog)
+        tenant_round.top_done.callbacks.append(partial(self._settle, rec, tenant_round))
+
+    def _maybe_inject(self, rec: RoundRecord, tenant_round) -> None:
         """Attach a dropout wave to rounds admitted during availability
         dips (fraction scales with dip depth; seeded by round identity)."""
-        chaos = self.chaos
+        chaos = self.spec.chaos
         if chaos is None:
             return
         frac = chaos.wave_fraction(
-            self.availability.availability_fraction(rec.arrival_at)
+            self.spec.availability.availability_fraction(rec.arrival_at)
         )
         if frac <= 0.0:
             return
         from repro.chaos import FaultInjector
 
-        seed = make_rng(self.seed, f"chaos:{rec.tenant}:{rec.round_id}").integers(
-            0, 2**31 - 1
-        )
-        plan = chaos.wave_plan(int(seed), env.now + chaos.wave_delay_s, frac)
-        FaultInjector(plan, telemetry=tel).install(
-            env=env, fabric=fabric, engine=engine, tenants=[tenant_round]
+        seed = make_rng(
+            self.spec.seed, f"chaos:{rec.tenant}:{rec.round_id}"
+        ).integers(0, 2**31 - 1)
+        plan = chaos.wave_plan(int(seed), self.env.now + chaos.wave_delay_s, frac)
+        FaultInjector(plan, telemetry=self.tel).install(
+            env=self.env, fabric=self.fabric, engine=self.engine, tenants=[tenant_round]
         )
         rec.chaos_fraction = frac
-        result.chaos_waves += 1
+        self.result.chaos_waves += 1
+
+    def _settle(self, rec: RoundRecord, tenant_round, evt) -> None:
+        """The round's top aggregator finished (or failed): account it
+        and hand its slot to the tenant's queue."""
+        ok = evt._ok
+        if not ok:
+            evt.defuse()  # a quorum abort must not crash the replay
+        rec.complete_at = self.env.now
+        res = self.engine.finish_round(
+            tenant_round, self.cfg.include_eval, start_time=rec.admit_at
+        )
+        self.result.clients_dropped += res.clients_dropped
+        self.result.cost_cpu_s += res.cpu_total
+        if ok:
+            # Exactly the values the tracker ingests, so slo_from_records
+            # rebuilds bit-identical digests.
+            self._end(
+                rec,
+                "settled",
+                queue_wait=rec.queue_wait,
+                service=rec.service,
+                latency=rec.latency,
+                attained=rec.latency <= self.cfg.slo_target_s,
+                deferred=rec.deferred,
+            )
+        else:
+            self._end(rec, "aborted", queue_wait=rec.queue_wait)
+        self.inflight[rec.tenant] -= 1
+        self._drain(rec.tenant)
+
+    # ------------------------------------------------------------ outcomes
+    def _reject(self, rec: RoundRecord, reason: str = "queue-full") -> None:
+        self._end(rec, "rejected", reason=reason)
+
+    def _shed(self, rec: RoundRecord, reason: str) -> None:
+        self._end(rec, "shed", reason=reason)
+        if self.controller is not None:
+            self.controller._record(
+                self.env.now, "shed", f"t{rec.tenant}r{rec.round_id}", 0, reason
+            )
+
+    def _end(self, rec: RoundRecord, state: str, **fields) -> None:
+        """Move ``rec`` to terminal ``state``: tally it, emit
+        ``round-<state>`` and count it done."""
+        now = self.env.now
+        rec.move(state)
+        if state == "settled":
+            self.tracker.observe(
+                rec.queue_wait, rec.service, deferred=rec.deferred, at=now
+            )
+        else:
+            getattr(self.tracker, _TALLIES[state])(at=now)
+        if self.tel is not None:
+            self.tel.emit(
+                f"round-{state}", now, tenant=rec.tenant, round_id=rec.round_id, **fields
+            )
+        self.done += 1

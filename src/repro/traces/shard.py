@@ -40,9 +40,9 @@ pool — then folds the per-shard results into one report:
   records interleave back into arrival order, and engine counters
   (:mod:`repro.perf`) are reported per shard and merged.
 
-Each shard is one serving cell replayed by :func:`run_cell`, which the
-geo federation (:mod:`repro.geo.federation`) reuses for its region
-cells.
+Each shard is one serving cell replayed by :func:`run_cell` under the
+engine's :class:`~repro.traces.replay.ReplaySpec`; the geo federation
+(:mod:`repro.geo.federation`) reuses it for its region cells.
 
 The semantic difference from the unsharded replay is placement, not
 randomness: each shard's tenants contend only with each other on their
@@ -69,23 +69,10 @@ from repro.telemetry.bus import (
     merge_streams,
 )
 from repro.traces.models import Trace
-from repro.traces.replay import (
-    ReplayConfig,
-    ReplayResult,
-    TraceReplayEngine,
-    validate_replay_inputs,
-)
+from repro.traces.replay import ReplayResult, ReplaySpec, TraceReplayEngine
 
 if TYPE_CHECKING:  # import-light, mirroring replay.py
-    from repro.chaos.plan import FaultPlan
-    from repro.controlplane.reactive import ControllerConfig
     from repro.core.platform import AggregationPlatform
-    from repro.fl.client import FLClient
-    from repro.fl.population import ClientPopulation
-    from repro.fl.selector import Selector
-    from repro.geo.federation import GeoReplayEngine
-    from repro.traces.models import AvailabilityTrace
-    from repro.traces.replay import ChaosCorrelation
 
 __all__ = [
     "ShardPlan",
@@ -227,29 +214,23 @@ class ShardedReplayResult:
 class ShardedReplayEngine:
     """Partition one trace replay across worker processes and merge.
 
-    Mirrors :class:`~repro.traces.replay.TraceReplayEngine`'s knobs but
-    takes a ``platform_factory`` instead of a platform instance: every
-    shard builds its *own* platform (engine, warm pool, node fleet), so a
-    shard is a full serving cell and shard results are independent of
-    execution order.  The factory must be safe to call once per shard.
+    Serves the trace with one :class:`~repro.traces.replay.ReplaySpec`
+    and takes a ``platform_factory`` instead of a platform instance:
+    every shard builds its *own* platform (engine, warm pool, node
+    fleet), so a shard is a full serving cell and shard results are
+    independent of execution order.  The factory must be safe to call
+    once per shard.  With a controller in the spec, each shard runs its
+    own over its own cell — per-shard ticks stay deterministic and the
+    reports merge.
     """
 
     def __init__(
         self,
         platform_factory: "Callable[[], AggregationPlatform]",
         trace: Trace,
-        config: ReplayConfig | None = None,
-        availability: "AvailabilityTrace | None" = None,
-        weights: dict[str, float] | None = None,
-        selector: "Selector | None" = None,
-        clients: "list[FLClient] | None" = None,
-        chaos: "ChaosCorrelation | None" = None,
-        seed: int = 0,
+        spec: ReplaySpec,
         shards: int = 1,
         workers: int | None = None,
-        population: "ClientPopulation | None" = None,
-        controller: "ControllerConfig | None" = None,
-        fault_plan: "FaultPlan | None" = None,
         telemetry: TelemetryBus | None = None,
     ) -> None:
         if not callable(platform_factory):
@@ -258,32 +239,12 @@ class ShardedReplayEngine:
             raise ConfigError(f"shards must be >= 1, got {shards}")
         if workers is not None and workers < 1:
             raise ConfigError(f"workers must be >= 1, got {workers}")
+        spec.validate()
         self.platform_factory = platform_factory
         self.trace = trace
-        self.config = config or ReplayConfig()
-        validate_replay_inputs(
-            self.config,
-            availability=availability,
-            selector=selector,
-            clients=clients,
-            chaos=chaos,
-            population=population,
-            controller=controller,
-            fault_plan=fault_plan,
-        )
-        self.availability = availability
-        self.weights = weights
-        self.selector = selector
-        self.clients = clients
-        self.chaos = chaos
-        self.seed = seed
+        self.spec = spec
         self.shards = shards
         self.workers = workers
-        self.population = population
-        #: each shard runs its own controller over its own serving cell —
-        #: per-shard ticks stay deterministic and the reports merge
-        self.controller = controller
-        self.fault_plan = fault_plan
         #: parent-side telemetry bus (explicit argument or the ambient
         #: capture); shards never touch it directly — each shard records
         #: into a fresh private bus and the parent re-publishes the merged,
@@ -312,12 +273,11 @@ class ShardedReplayEngine:
         def replay(task: tuple[int, Trace, tuple[int, ...]]) -> ShardReport:
             shard, sub, tenants = task
             return run_cell(
-                self,
+                self.spec,
                 self.platform_factory,
                 sub,
                 shard=shard,
                 tenants=tenants,
-                fault_plan=self.fault_plan,
                 stream=tel is not None,
             )
 
@@ -338,8 +298,8 @@ class ShardedReplayEngine:
         merged = ReplayResult.merge(
             [rep.result for rep in reports],
             self.trace.horizon,
-            self.config.slo_target_s,
-            self.config.track_cost,
+            self.spec.config.slo_target_s,
+            self.spec.config.track_cost,
         )
         return ShardedReplayResult(
             merged=merged, shards=reports, forked=workers > 1, workers=workers
@@ -347,21 +307,16 @@ class ShardedReplayEngine:
 
 
 def run_cell(
-    owner: "ShardedReplayEngine | GeoReplayEngine",
+    spec: ReplaySpec,
     platform_factory: "Callable[[], AggregationPlatform]",
     sub: Trace,
     shard: int = 0,
     tenants: tuple[int, ...] = (),
-    fault_plan: "FaultPlan | None" = None,
     stream: bool = False,
 ) -> ShardReport:
-    """Replay one serving cell in the current process, collecting counters.
-
-    ``owner`` supplies the replay knobs (``config``, ``availability``,
-    ``weights``, ``selector``, ``clients``, ``chaos``, ``seed``,
-    ``population``, ``controller``) — a :class:`ShardedReplayEngine` or
-    a :class:`~repro.geo.federation.GeoReplayEngine`; the cell builds its
-    own platform from ``platform_factory``.
+    """Replay one serving cell of ``sub`` under ``spec`` in the current
+    process, collecting counters; the cell builds its own platform from
+    ``platform_factory``.
 
     The cell always gets its own private bus (never the parent's): with
     ``stream`` it records into a plain list shipped home in the report,
@@ -373,22 +328,9 @@ def run_cell(
     cell_bus = TelemetryBus()
     recorder = RecordingSubscriber(cell_bus) if stream else None
     with collect() as perf:
-        engine = TraceReplayEngine(
-            platform_factory(),
-            sub,
-            owner.config,
-            availability=owner.availability,
-            weights=owner.weights,
-            selector=owner.selector,
-            clients=owner.clients,
-            chaos=owner.chaos,
-            seed=owner.seed,
-            population=owner.population,
-            controller=owner.controller,
-            fault_plan=fault_plan,
-            telemetry=cell_bus,
-        )
-        result = engine.run()
+        result = TraceReplayEngine(
+            platform_factory(), sub, telemetry=cell_bus, **vars(spec)
+        ).run()
     return ShardReport(
         shard=shard,
         tenants=tenants,

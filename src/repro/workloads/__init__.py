@@ -1,19 +1,17 @@
-"""Workload generation: client populations, availability traces, arrivals.
+"""Workload generation: client populations and update arrivals.
 
 * :mod:`repro.workloads.fedscale` — a 2,800-client synthetic population with
   FedScale-like heterogeneity (the paper draws its clients from FedScale's
   real FEMNIST mapping);
-* :mod:`repro.workloads.traces` — per-round availability and update-arrival
-  traces for the two §6.2 client setups (hibernating mobiles vs always-on
-  servers);
-* :mod:`repro.workloads.arrival` — arrival processes for microbenchmarks
-  (Fig. 8's "N updates arriving concurrently", Poisson streams for capacity
-  probing).
+* :mod:`repro.workloads.arrival` — per-round update arrivals for the two
+  §6.2 client setups (hibernating mobiles vs always-on servers), and
+  arrival processes for microbenchmarks (Fig. 8's "N updates arriving
+  concurrently", Poisson streams for capacity probing).
 """
 
+from repro.workloads.arrival import ClientArrival, RoundTrace, generate_round_trace
 from repro.workloads.arrival import concurrent_arrivals, poisson_arrivals, staggered_arrivals
 from repro.workloads.fedscale import FedScalePopulation, make_population
-from repro.workloads.traces import ClientArrival, RoundTrace, generate_round_trace
 
 __all__ = [
     "ClientArrival",

@@ -10,7 +10,7 @@ from repro.fl.failures import HeartbeatMonitor, apply_dropouts
 from repro.fl.model import model_spec
 from repro.fl.selector import Selector, SelectorConfig
 from repro.workloads.fedscale import MOBILE_PROFILE, make_population
-from repro.workloads.traces import generate_round_trace
+from repro.workloads.arrival import generate_round_trace
 
 
 def test_heartbeat_lifecycle():
@@ -58,7 +58,7 @@ def test_dropouts_of_already_empty_round():
     whose arrivals were all consumed/dropped already.  It must no-op and
     leave the RNG stream untouched."""
     rng = make_rng(3, "empty")
-    from repro.workloads.traces import RoundTrace
+    from repro.workloads.arrival import RoundTrace
 
     empty = RoundTrace(arrivals=[])
     state_before = rng.bit_generator.state

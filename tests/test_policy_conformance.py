@@ -286,6 +286,9 @@ def test_admission_end_to_end_conserves_every_arrival(name: str, queue_limit: in
         settled = rec.complete_at >= 0 and not rec.aborted
         outcomes = (settled, rec.rejected, rec.aborted, rec.shed)
         assert sum(outcomes) == 1, (rec.tenant, rec.round_id, outcomes)
+        # the lifecycle's terminal state names that same outcome
+        terminal = ("settled", "rejected", "aborted", "shed")
+        assert outcomes == tuple(rec.state == s for s in terminal), rec.state
     depths = [r.get("depth") for r in stream.records if r.kind == "queue-sample"]
     assert depths and max(depths) <= queue_limit
 

@@ -12,7 +12,6 @@ import pytest
 from repro.common.errors import ConfigError
 from repro.experiments import mixed_fleet, stress50
 from repro.scenarios.registry import (
-    ScenarioRun,
     all_scenarios,
     derive_seed,
     get_scenario,

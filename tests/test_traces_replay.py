@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.common.errors import ConfigError
+from repro.common.errors import ConfigError, SimulationError
 from repro.common.units import RESNET18_BYTES
 from repro.core.platform import AggregationPlatform, PlatformConfig
 from repro.traces.models import (
@@ -15,7 +15,13 @@ from repro.traces.models import (
     availability_trace,
     poisson_trace,
 )
-from repro.traces.replay import ChaosCorrelation, ReplayConfig, TraceReplayEngine
+from repro.traces.replay import (
+    ROUND_MOVES,
+    ChaosCorrelation,
+    ReplayConfig,
+    RoundRecord,
+    TraceReplayEngine,
+)
 
 NODES = [f"node{i}" for i in range(6)]
 
@@ -157,6 +163,31 @@ def test_replay_rng_state_does_not_grow_with_rounds():
         return len(engine._rngs._streams)
 
     assert streams_after(480) == streams_after(240)
+
+
+# -------------------------------------------------------------- lifecycle
+TERMINAL = ("settled", "aborted", "rejected", "shed")
+
+
+def test_round_lifecycle_table_allows_only_its_moves():
+    def at(state: str) -> RoundRecord:
+        return RoundRecord(tenant=0, round_id=1, arrival_at=0.0, updates=4, state=state)
+
+    for state, targets in ROUND_MOVES.items():
+        for target in targets:
+            rec = at(state)
+            rec.move(target)
+            assert rec.state == target
+    with pytest.raises(SimulationError, match="t0r1 cannot move arrived -> settled"):
+        at("arrived").move("settled")
+    for state in TERMINAL:
+        for target in (*ROUND_MOVES, *TERMINAL):
+            with pytest.raises(SimulationError):
+                at(state).move(target)
+    rec = at("arrived")
+    assert (rec.aborted, rec.rejected, rec.shed) == (False, False, False)
+    rec.move("rejected")
+    assert (rec.aborted, rec.rejected, rec.shed) == (False, True, False)
 
 
 # -------------------------------------------------------------- admission

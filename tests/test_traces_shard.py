@@ -21,7 +21,12 @@ from repro.core.platform import AggregationPlatform, PlatformConfig
 from repro.geo import GeoReplayEngine, RegionTopology
 from repro.perf.counters import collect
 from repro.traces.models import availability_trace, merge_traces, poisson_trace
-from repro.traces.replay import ChaosCorrelation, ReplayConfig, TraceReplayEngine
+from repro.traces.replay import (
+    ChaosCorrelation,
+    ReplayConfig,
+    ReplaySpec,
+    TraceReplayEngine,
+)
 from repro.traces.shard import (
     ShardedReplayEngine,
     plan_shards,
@@ -48,9 +53,9 @@ def _three_tenant_trace(seed: int = 5):
     )
 
 
-def _engine(trace, shards: int = 1, **kw) -> ShardedReplayEngine:
+def _engine(trace, shards: int = 1, workers: int | None = None) -> ShardedReplayEngine:
     return ShardedReplayEngine(
-        _lifl_platform, trace, CONFIG, seed=5, shards=shards, **kw
+        _lifl_platform, trace, ReplaySpec(CONFIG, seed=5), shards=shards, workers=workers
     )
 
 
@@ -262,9 +267,8 @@ def _fails_in_tasks(exit_hard: bool = False, planning_calls: int = 0):
 
 
 def _sharded(factory, config=CONFIG, **kw) -> ShardedReplayEngine:
-    return ShardedReplayEngine(
-        factory, _three_tenant_trace(), config, seed=5, shards=3, workers=3, **kw
-    )
+    spec = ReplaySpec(config, seed=5, **kw)
+    return ShardedReplayEngine(factory, _three_tenant_trace(), spec, shards=3, workers=3)
 
 
 def _run_sharded(factory):

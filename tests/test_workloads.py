@@ -8,9 +8,13 @@ import pytest
 from repro.common.errors import ConfigError
 from repro.common.rng import make_rng
 from repro.fl.model import model_spec
-from repro.workloads.arrival import concurrent_arrivals, poisson_arrivals, staggered_arrivals
+from repro.workloads.arrival import (
+    concurrent_arrivals,
+    generate_round_trace,
+    poisson_arrivals,
+    staggered_arrivals,
+)
 from repro.workloads.fedscale import MOBILE_PROFILE, SERVER_PROFILE, make_population
-from repro.workloads.traces import generate_round_trace
 
 
 def test_population_size_and_profiles():
