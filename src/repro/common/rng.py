@@ -10,7 +10,12 @@ single experiment seed, so that
 
 from __future__ import annotations
 
+import operator
+
 import numpy as np
+
+#: ``SeedSequence``'s entropy pool size in 32-bit words (numpy's default)
+_POOL_WORDS = 4
 
 
 def make_rng(seed: int, stream: str = "") -> np.random.Generator:
@@ -18,9 +23,30 @@ def make_rng(seed: int, stream: str = "") -> np.random.Generator:
 
     The stream name is folded into the seed sequence so distinct components
     get decorrelated streams even with the same experiment seed.
+
+    The generator equals the one seeded by
+    ``SeedSequence(seed, spawn_key=tuple(stream.encode()))``: this builds
+    the entropy array that construction assembles (the seed's
+    little-endian 32-bit words, zero-padded to the pool size, then one
+    word per UTF-8 byte of ``stream``) and hands it over whole, which
+    skips numpy's per-element coercion of the key.  The pool, hence every
+    draw, is identical.
     """
-    spawn_key = tuple(stream.encode("utf-8")) if stream else ()
-    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed, spawn_key=spawn_key)))
+    if not stream:
+        return np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
+    n = operator.index(seed)
+    if n < 0:
+        raise ValueError(f"expected non-negative integer seed, got {n}")
+    words = []
+    while True:
+        words.append(n & 0xFFFFFFFF)
+        n >>= 32
+        if not n:
+            break
+    words.extend([0] * (_POOL_WORDS - len(words)))
+    words.extend(stream.encode("utf-8"))
+    entropy = np.array(words, dtype=np.uint32)
+    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(entropy)))
 
 
 class RngRegistry:

@@ -101,7 +101,7 @@ def run_cell(dropout_rate: float, crashes: int, seed: int) -> dict:
 def _render(rows: list[dict]) -> str:
     lines = [
         f"Chaos sweep — {N_NODES} nodes, {BATCH} clients, quorum "
-        f"{QUORUM_FRACTION:.0%} (LIFL + resilient lifecycle)"
+        f"{QUORUM_FRACTION:.0%} (LIFL, warm-then-cold restarts)"
     ]
     lines.append(
         render_table(

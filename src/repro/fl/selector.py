@@ -14,7 +14,7 @@ so that the aggregation goal is met even if some clients drop out.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable
+from typing import TYPE_CHECKING, Callable, Sequence
 
 import numpy as np
 
@@ -61,16 +61,31 @@ class Selector:
         """
         if not available:
             raise ConfigError("no clients available for selection")
-        want = min(self.target_count(), len(available))
-        if self.config.diversity == "uniform":
-            idx = rng.choice(len(available), size=want, replace=False)
-            return [available[int(i)] for i in idx]
-        # "diverse": sample-size-proportional without replacement, favouring
-        # clients with more (hence likely more varied) local data.
-        weights = np.array([max(1, c.num_samples) for c in available], dtype=float)
-        probs = weights / weights.sum()
-        idx = rng.choice(len(available), size=want, replace=False, p=probs)
+        idx = self.draw(rng, len(available), lambda: [c.num_samples for c in available])
         return [available[int(i)] for i in idx]
+
+    def draw(
+        self,
+        rng: np.random.Generator,
+        size: int,
+        num_samples: Callable[[], Sequence[int] | np.ndarray],
+    ) -> np.ndarray:
+        """The one participant draw every selection path makes: positions
+        into a non-empty pool of ``size``, in draw order, from a single
+        ``rng.choice(size, want, replace=False)``.
+
+        "uniform" draws plainly.  "diverse" draws sample-size-proportional
+        without replacement, favouring clients with more (hence likely
+        more varied) local data: ``num_samples()`` gives the pool's sample
+        counts in pool order and is only called then.  Equal pools in
+        equal order therefore get equal picks whichever path built them.
+        """
+        want = min(self.target_count(), size)
+        if self.config.diversity == "uniform":
+            return rng.choice(size, size=want, replace=False)
+        weights = np.maximum(1, num_samples()).astype(float)
+        probs = weights / weights.sum()
+        return rng.choice(size, size=want, replace=False, p=probs)
 
     def select_available(
         self,
@@ -105,7 +120,7 @@ class Selector:
         ``mask`` is the availability mask (e.g.
         ``population.available_mask(at)``); returns the selected client
         *indices* in draw order.  Consumes the RNG stream exactly like the
-        per-object path — same ``rng.choice`` call over a pool of the same
+        per-object path — the same :meth:`draw` over a pool of the same
         size in the same order — so for matching populations the two paths
         pick the same clients (property-tested).  Empty pool returns an
         empty index array (the unformable-round case).
@@ -113,11 +128,4 @@ class Selector:
         pool = np.flatnonzero(mask)
         if pool.size == 0:
             return pool
-        want = min(self.target_count(), pool.size)
-        if self.config.diversity == "uniform":
-            idx = rng.choice(pool.size, size=want, replace=False)
-            return pool[idx]
-        weights = np.maximum(1, population.num_samples[pool]).astype(float)
-        probs = weights / weights.sum()
-        idx = rng.choice(pool.size, size=want, replace=False, p=probs)
-        return pool[idx]
+        return pool[self.draw(rng, pool.size, lambda: population.num_samples[pool])]

@@ -316,6 +316,13 @@ class AvailabilityTrace:
         self._compiled = (ids, starts, ends, rows, (windows, len(windows)))
         return self._compiled
 
+    def mask_ids(self) -> list[str]:
+        """The client ids in :meth:`available_mask`'s order.  The list is
+        the compiled index's own, so a new object after each recompile:
+        callers may key derived indexes on its identity (and must not
+        mutate it)."""
+        return self._compile()[0]
+
     def available_mask(self, at: float) -> "np.ndarray":
         """Boolean availability per client at ``at``, in sorted-id order —
         the vectorized core of :meth:`available`."""
@@ -336,7 +343,7 @@ class AvailabilityTrace:
         """Fraction of the population available at ``at`` (0 when empty)."""
         if not self.windows:
             return 0.0
-        return len(self.available(at)) / len(self.windows)
+        return int(self.available_mask(at).sum()) / len(self.windows)
 
     def sample(self, at: float, n: int, rng: np.random.Generator) -> list[str]:
         """Draw up to ``n`` distinct available clients at ``at`` (all of

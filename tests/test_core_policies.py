@@ -146,18 +146,97 @@ def test_availability_aware_selection_without_selector_raises():
         _replay(ReplayConfig(selection_policy="availability-aware"))
 
 
+def _assert_matches_reference(policy, inputs, at: float, seed: int = 5) -> list[str]:
+    """The policy's picks equal ``Selector.select_available`` over the
+    clients with a per-id ``is_available`` predicate, and the two paths
+    leave the round's stream in the same state."""
+    avail = inputs["availability"]
+    r_ref, r_got = np.random.default_rng(seed), np.random.default_rng(seed)
+    ref = inputs["selector"].select_available(
+        inputs["clients"], r_ref, lambda cid: avail.is_available(cid, at)
+    )
+    ctx = SelectionContext(at=at, tenant=0, round_id=0, round_updates=4, **inputs)
+    got = policy.select(ctx, r_got)
+    assert got == [c.client_id for c in ref]
+    assert r_got.bit_generator.state == r_ref.bit_generator.state
+    return got
+
+
+def _sized_clients(clients, seed: int = 0):
+    """Copies of ``clients`` whose ``num_samples`` differ (10..500)."""
+    from repro.fl.client import FLClient
+    from repro.fl.datasets import ClientShard
+
+    sizes = np.random.default_rng(seed).integers(10, 500, size=len(clients))
+    return [
+        FLClient(
+            c.config,
+            c.spec,
+            shard=ClientShard(c.client_id, np.zeros((n, 1), np.float32), np.zeros(n, np.int64)),
+        )
+        for c, n in zip(clients, sizes)
+    ]
+
+
 def test_availability_aware_selection_matches_is_available_reference():
     inputs = _mobile_inputs()
-    avail, selector = inputs["availability"], inputs["selector"]
+    policy = POLICIES.create("selection", "availability-aware")
+    # One instance across many instants: the client index is built once
+    # and reused.
+    for at in np.linspace(0.0, 59.9, 24):
+        _assert_matches_reference(policy, inputs, float(at))
+
+
+def test_availability_aware_selection_diverse_matches_reference():
+    from repro.fl.selector import Selector, SelectorConfig
+
+    inputs = _mobile_inputs()
+    inputs["clients"] = _sized_clients(inputs["clients"])
+    assert len({c.num_samples for c in inputs["clients"]}) > 1
+    inputs["selector"] = Selector(
+        SelectorConfig(aggregation_goal=4, over_provision=1.25, diversity="diverse")
+    )
     policy = POLICIES.create("selection", "availability-aware")
     for at in (0.0, 17.5, 42.0, 59.9):
-        ctx = SelectionContext(at=at, tenant=0, round_id=0, round_updates=4, **inputs)
-        ref = selector.select_available(
-            inputs["clients"], np.random.default_rng(5),
-            lambda cid: avail.is_available(cid, at),
-        )
-        got = policy.select(ctx, np.random.default_rng(5))
-        assert got == [c.client_id for c in ref]
+        _assert_matches_reference(policy, inputs, at)
+
+
+def test_availability_aware_selection_reads_unknown_ids_as_down():
+    from repro.fl.client import ClientConfig, FLClient
+
+    inputs = _mobile_inputs()
+    known = inputs["clients"][0]
+    stranger = FLClient(ClientConfig(client_id="not-in-trace"), known.spec)
+    inputs["clients"] = [stranger, *inputs["clients"], stranger]
+    policy = POLICIES.create("selection", "availability-aware")
+    for at in (0.0, 17.5, 42.0, 59.9):
+        assert "not-in-trace" not in _assert_matches_reference(policy, inputs, at)
+
+
+def test_availability_aware_selection_empty_instant_is_unformable():
+    inputs = _mobile_inputs()
+    avail = inputs["availability"]
+    policy = POLICIES.create("selection", "availability-aware")
+    # Past the horizon nobody is up.
+    assert not avail.available_mask(1e9).any()
+    assert _assert_matches_reference(policy, inputs, 1e9) == []
+
+
+def test_availability_aware_selection_rebuilds_index_when_windows_change():
+    inputs = _mobile_inputs()
+    avail = inputs["availability"]
+    policy = POLICIES.create("selection", "availability-aware")
+    before = _assert_matches_reference(policy, inputs, 30.0)
+    # Same client count, different windows and a different id set: only
+    # a rebuilt index reads the new rows.
+    ids = sorted(avail.windows)
+    avail.windows = {
+        **{cid: ((0.0, 60.0),) for cid in ids[::2]},
+        **{f"zz-{i}": ((0.0, 60.0),) for i in range(len(ids) - len(ids[::2]))},
+    }
+    after = _assert_matches_reference(policy, inputs, 30.0)
+    assert set(after) <= set(ids[::2])
+    assert after != before
 
 
 def test_unknown_admission_knob_raises():

@@ -159,10 +159,10 @@ def test_availability_trace_deterministic_and_bounded():
 
 def test_availability_queries_are_consistent():
     trace = availability_trace(50, 400.0, seed=7)
-    for at in (0.0, 100.0, 399.0):
+    for at in (0.0, 37.5, 100.0, 250.0, 399.0, 1e9):
         up = trace.available(at)
         assert up == [cid for cid in trace.client_ids if trace.is_available(cid, at)]
-        assert trace.availability_fraction(at) == pytest.approx(len(up) / 50)
+        assert trace.availability_fraction(at) == len(up) / len(trace.windows)
 
 
 def test_availability_sample_is_seeded_and_capped():
