@@ -1,9 +1,19 @@
-"""One fork/merge primitive for the scale-out engines.
+"""One fork/merge primitive and one cell runner for the scale-out engines.
 
 Sharded replay (:mod:`repro.traces.shard`), partitioned cohorts
 (:mod:`repro.core.partition`) and the geo federation
-(:mod:`repro.geo.federation`) fan independent, deterministic tasks out
-through :func:`fan_out`.  It deals the tasks round-robin over ``n``
+(:mod:`repro.geo.federation`) split their work into independent,
+deterministic cells, run them through the cell runner :func:`run_cells`,
+and keep only their own split and merge.  The runner self-times each
+cell (wall and CPU seconds, in whichever process ran it) and fills the
+cell's :class:`CellReport` with the engine counters of every environment
+the cell created.  Forked cells' environments never reach the parent's
+``--profile`` collector, so after a forked run the runner credits every
+cell to it once, as a :class:`~repro.perf.counters.CounterCarrier`
+labelled with the report's ``perf_label``; an inline run registers its
+environments directly and credits none.
+
+Underneath, :func:`fan_out` deals the tasks round-robin over ``n``
 shares (callers hand over load-balanced task lists), forks ``n - 1``
 workers for shares 1..n-1 and runs share 0 in the calling process while
 they compute, so the caller is one of the workers rather than an idle
@@ -18,21 +28,109 @@ from __future__ import annotations
 
 import multiprocessing
 import os
+import time
 import traceback
 from contextlib import nullcontext
+from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable, Sequence, TypeVar
 
-from repro.common.errors import LiflError
+from repro.common.errors import ConfigError, LiflError
 from repro.perf import counters
 
-__all__ = ["WorkerError", "available_cpus", "fan_out"]
+__all__ = [
+    "CellReport",
+    "WorkerError",
+    "available_cpus",
+    "balance",
+    "check_cells",
+    "critical_path_seconds",
+    "fan_out",
+    "run_cells",
+]
 
 T = TypeVar("T")
 R = TypeVar("R")
+K = TypeVar("K")
 
 
 class WorkerError(LiflError, RuntimeError):
     """A share raised, or a forked worker died without reporting its tasks."""
+
+
+@dataclass
+class CellReport:
+    """What the cell runner measures of one cell; each engine's report
+    extends it.  CPU seconds are immune to timeslicing."""
+
+    shard: int
+    counters: dict[str, int] = field(default_factory=dict)
+    wall_seconds: float = 0.0
+    cpu_seconds: float = 0.0
+
+    @property
+    def perf_label(self) -> str:
+        return f"cell{self.shard}"
+
+
+C = TypeVar("C", bound=CellReport)
+
+
+def check_cells(platform_factory, shards: int = 1, workers: int | None = None) -> None:
+    """The constructor checks every fanned-out engine shares."""
+    if not callable(platform_factory):
+        raise ConfigError("platform_factory must be callable")
+    if shards < 1:
+        raise ConfigError(f"shards must be >= 1, got {shards}")
+    if workers is not None and workers < 1:
+        raise ConfigError(f"workers must be >= 1, got {workers}")
+
+
+def run_cells(
+    cell: Callable[[T], C],
+    tasks: Sequence[T],
+    workers: int | None = None,
+    inline: bool = False,
+    what: str = "fan-out",
+) -> tuple[list[C], int]:
+    """Measure ``cell`` over ``tasks`` through :func:`fan_out`; return
+    ``(reports, workers_used)``, crediting forked cells' counters."""
+    reports, n = fan_out(partial(_measured, cell), tasks, workers, inline, what)
+    if n > 1:
+        for rep in reports:
+            counters.maybe_register(counters.CounterCarrier(rep.perf_label, rep.counters))
+    return reports, n
+
+
+def _measured(cell: Callable[[T], C], task: T) -> C:
+    wall0, cpu0 = time.perf_counter(), time.process_time()
+    with counters.collect() as perf:
+        report = cell(task)
+    report.counters = perf.counters().as_dict()
+    report.wall_seconds = time.perf_counter() - wall0
+    report.cpu_seconds = time.process_time() - cpu0
+    return report
+
+
+def balance(loads: dict[K, int], n_cells: int) -> tuple[tuple[K, ...], ...]:
+    """Deal weighted items over at most ``n_cells`` cells, greedy
+    longest-processing-time: heaviest first, each onto the least-loaded
+    cell, ties broken by item then cell index.  Each cell's items come
+    back sorted; no cell is empty, and no items give no cells."""
+    n = min(n_cells, len(loads))
+    totals = [0] * n
+    members: list[list[K]] = [[] for _ in range(n)]
+    for item in sorted(loads, key=lambda k: (-loads[k], k)):
+        cell = min(range(n), key=lambda i: (totals[i], i))
+        totals[cell] += loads[item]
+        members[cell].append(item)
+    return tuple(tuple(sorted(m)) for m in members)
+
+
+def critical_path_seconds(reports: Sequence[CellReport]) -> float:
+    """The slowest cell's CPU seconds: the wall-clock floor a host with
+    at least as many free cores as cells can reach."""
+    return max((rep.cpu_seconds for rep in reports), default=0.0)
 
 
 def fan_out(
@@ -47,9 +145,9 @@ def fan_out(
     Splits the tasks into ``min(len(tasks), workers or CPUs)`` shares,
     share ``w`` holding tasks ``w, w + n, w + 2n, ...``.  Shares 1..n-1
     run on forked workers; share 0 runs in the calling process meanwhile,
-    with any active :mod:`repro.perf.counters` collector paused (the
-    engines credit every share's counters through a carrier, so share 0
-    is counted once).  There is one share, and no fork, with
+    with any active :mod:`repro.perf.counters` collector paused
+    (:func:`run_cells` credits every share's counters through a carrier,
+    so share 0 is counted once).  There is one share, and no fork, with
     ``inline=True``, with one task or worker, or when the caller cannot
     fork: no fork start method, or a daemonic process (``CampaignRunner
     --jobs`` pool workers cannot have children).  ``results[i]`` is

@@ -34,13 +34,10 @@ duration-dependent reservations match the unpartitioned accounting.
 
 ``shards=1`` bypasses the protocol entirely — it is literally the
 sequential engine, so it is byte-identical to an unpartitioned run (the
-golden tests pin this).  Cohorts fan out through
-:func:`~repro.common.fanout.fan_out`, the fork/merge primitive
-:class:`~repro.traces.shard.ShardedReplayEngine` uses too: the parent
-simulates the first worker's cohorts itself and forks the other
-workers, recv-before-join pipes, inline fallback where fork is
-unavailable, and results in cohort order; each cohort self-times its CPU
-for the critical-path report.
+golden tests pin this).  Cohorts run through
+:func:`~repro.common.fanout.run_cells`, the cell runner the sharded and
+geo engines share; this module keeps only the cohort plan and the root
+phase.
 """
 
 from __future__ import annotations
@@ -50,12 +47,11 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Sequence
 
 from repro.common.errors import ConfigError
-from repro.common.fanout import fan_out
+from repro.common.fanout import CellReport, balance, check_cells, critical_path_seconds, run_cells
 from repro.controlplane.hierarchy import HierarchyPlan
 from repro.core.results import RoundResult
 from repro.core.stages import GatewayIngress
 from repro.core.updates import SimUpdate
-from repro.perf.counters import CounterCarrier, collect, maybe_register
 from repro.sim.engine import Environment
 
 if TYPE_CHECKING:  # import-light, mirroring traces/shard.py
@@ -142,35 +138,27 @@ def plan_cohorts(
         for u in updates:
             if u.node != root:
                 counts[u.node] = counts.get(u.node, 0) + 1
-    if not counts:
-        return CohortPlan(root_node=root, assignments=())
-    n = min(n_shards, len(counts))
-    loads = [0] * n
-    members: list[list[str]] = [[] for _ in range(n)]
-    for node in sorted(counts, key=lambda name: (-counts[name], name)):
-        shard = min(range(n), key=lambda i: (loads[i], i))
-        loads[shard] += counts[node]
-        members[shard].append(node)
-    plan = CohortPlan(
-        root_node=root, assignments=tuple(tuple(sorted(m)) for m in members)
-    )
+    plan = CohortPlan(root_node=root, assignments=balance(counts, n_shards))
     plan.validate(rounds)
     return plan
 
 
-@dataclass
-class CohortReport:
-    """One cohort shard's summary: nodes simulated, boundary emissions
-    shipped, engine counters, and wall/CPU self-timing (CPU seconds are
-    immune to timeslicing — the slowest cohort's CPU plus the root phase's
-    is the run's multi-core critical path)."""
+@dataclass(kw_only=True)
+class CohortReport(CellReport):
+    """One cohort shard's complete output: the cell runner's measurements
+    plus the nodes it simulated and the boundary emissions it shipped.
+    The slowest cohort's CPU plus the root phase's is the run's
+    multi-core critical path."""
 
-    shard: int
     nodes: tuple[str, ...]
     emissions: int
-    counters: dict[str, int]
-    wall_seconds: float = 0.0
-    cpu_seconds: float = 0.0
+    #: per round, the boundary emissions and the partial
+    #: :class:`RoundResult` that the root phase replays and folds
+    rounds: list[tuple[list[Emission], RoundResult]] = field(default_factory=list, repr=False)
+
+    @property
+    def perf_label(self) -> str:
+        return f"cohort{self.shard}"
 
 
 @dataclass
@@ -191,8 +179,7 @@ class PartitionedRunResult:
     def critical_path_seconds(self) -> float:
         """The slowest cohort's CPU plus the serial root phase — the
         wall-clock floor a host with one free core per cohort reaches."""
-        worst = max((rep.cpu_seconds for rep in self.cohorts), default=0.0)
-        return worst + self.root_cpu_seconds
+        return critical_path_seconds(self.cohorts) + self.root_cpu_seconds
 
 
 class PartitionedRoundEngine:
@@ -214,12 +201,7 @@ class PartitionedRoundEngine:
         shards: int = 1,
         workers: int | None = None,
     ) -> None:
-        if not callable(platform_factory):
-            raise ConfigError("platform_factory must be callable")
-        if shards < 1:
-            raise ConfigError(f"shards must be >= 1, got {shards}")
-        if workers is not None and workers < 1:
-            raise ConfigError(f"workers must be >= 1, got {workers}")
+        check_cells(platform_factory, shards, workers)
         self.platform_factory = platform_factory
         self.shards = shards
         self.workers = workers
@@ -274,17 +256,13 @@ class PartitionedRoundEngine:
                     ],
                 )
             )
-        done, workers = fan_out(
+        reports, workers = run_cells(
             lambda task: self._run_cohort(*task),
             tasks,
             self.workers,
             inline,
             what="partitioned round",
         )
-        reports = [rep for rep, _ in done]
-        if workers > 1:
-            for rep in reports:
-                maybe_register(CounterCarrier(f"cohort{rep.shard}", rep.counters))
 
         # -- root phase: replay each round with every cohort's emissions --
         cpu0 = time.process_time()
@@ -293,8 +271,8 @@ class PartitionedRoundEngine:
         for r, ((updates, plan), span) in enumerate(zip(prepared, spans)):
             root_updates = [u for u in updates if u.node == root]
             remote: list[Emission] = []
-            for _, rounds in done:
-                remote.extend(rounds[r][0])
+            for rep in reports:
+                remote.extend(rep.rounds[r][0])
             remote.sort(key=lambda e: (e[3], e[0]))
             env = Environment()
             fabric = engine.build_fabric(env)
@@ -310,7 +288,7 @@ class PartitionedRoundEngine:
             )
             env.run(until=tenant.top_done)
             merged = engine.finish_round(tenant, include_eval)
-            self._merge_round(engine, merged, [rounds[r][1] for _, rounds in done])
+            self._merge_round(engine, merged, [rep.rounds[r][1] for rep in reports])
             results.append(merged)
         root_cpu = time.process_time() - cpu0
 
@@ -346,55 +324,42 @@ class PartitionedRoundEngine:
         shard_id: int,
         nodes: tuple[str, ...],
         rounds: list[tuple[list[SimUpdate], HierarchyPlan, float]],
-    ) -> tuple[CohortReport, list[tuple[list[Emission], RoundResult]]]:
+    ) -> CohortReport:
         """Simulate one cohort's node subset for every round, in-process;
-        return its report and, per round, its boundary emissions and
-        partial :class:`RoundResult`.
+        return its report, which carries per round its boundary emissions
+        and partial :class:`RoundResult`.
 
         The cohort's engine persists across rounds (warm-pool turnover);
         each round runs on a fresh environment whose clock starts at the
         round's own zero, so recorded emit times are round-relative — the
         root phase replays them on the same basis.
         """
-        wall0 = time.perf_counter()
-        cpu0 = time.process_time()
-        node_sets = [frozenset(nodes)] * len(rounds)
+        node_set = frozenset(nodes)
         out: list[tuple[list[Emission], RoundResult]] = []
-        with collect() as perf:
-            engine = self.platform_factory().engine
-            for (sub_updates, plan, span), node_set in zip(rounds, node_sets):
-                emissions: list[Emission] = []
-
-                def emit(
-                    agg_id: str, node: str, weight: float, now: float,
-                    _sink=emissions,
-                ) -> None:
-                    _sink.append((agg_id, node, weight, now))
-
-                env = Environment()
-                fabric = engine.build_fabric(env)
-                tenant = engine._install(  # noqa: SLF001
-                    env,
-                    fabric,
-                    sub_updates,
-                    plan,
-                    record_timeline=False,
-                    local_nodes=node_set,
-                    boundary_emit=emit,
-                    arrival_span=span,
-                )
-                env.run(until=tenant.top_done)
-                partial = engine.finish_round(tenant, include_eval=False)
-                out.append((emissions, partial))
-        report = CohortReport(
+        engine = self.platform_factory().engine
+        for sub_updates, plan, span in rounds:
+            emissions: list[Emission] = []
+            env = Environment()
+            fabric = engine.build_fabric(env)
+            tenant = engine._install(  # noqa: SLF001
+                env,
+                fabric,
+                sub_updates,
+                plan,
+                record_timeline=False,
+                local_nodes=node_set,
+                boundary_emit=lambda *emission: emissions.append(emission),
+                arrival_span=span,
+            )
+            env.run(until=tenant.top_done)
+            partial = engine.finish_round(tenant, include_eval=False)
+            out.append((emissions, partial))
+        return CohortReport(
             shard=shard_id,
             nodes=nodes,
             emissions=sum(len(emissions) for emissions, _ in out),
-            counters=perf.counters().as_dict(),
-            wall_seconds=time.perf_counter() - wall0,
-            cpu_seconds=time.process_time() - cpu0,
+            rounds=out,
         )
-        return report, out
 
     # ------------------------------------------------------------------ merge
     @staticmethod

@@ -3,9 +3,6 @@
 Serverless functions cannot hold direct routes, so prior serverless FL
 systems interpose a stateful broker: every update is published into the
 broker (kernel hop + enqueue) and consumed out of it (dequeue + kernel hop).
-The serverful-microservice design of Fig. 5 uses a heavier, replicated
-broker — Fig. 13 shows it costing more end-to-end than even the serverless
-broker path.
 """
 
 from __future__ import annotations
@@ -24,24 +21,6 @@ def broker_hop(cal: DataplaneCalibration, group: str = "broker") -> Hop:
             latency_per_byte=cal.broker_lat_per_byte,
             cpu_fixed=cal.broker_fixed_cpu,
             cpu_per_byte=cal.broker_cpu_per_byte,
-            copies=1,
-        ),
-        component="broker",
-        group=group,
-    )
-
-
-def serverful_broker_hop(cal: DataplaneCalibration, group: str = "broker") -> Hop:
-    """Broker round for the serverful-microservice design (Fig. 5), with the
-    durability/replication overhead that makes SF-micro the costliest
-    queuing pipeline in Fig. 13."""
-    return Hop(
-        "sf-broker",
-        HopCost(
-            latency_fixed=cal.broker_fixed_lat,
-            latency_per_byte=cal.sf_broker_lat_per_byte,
-            cpu_fixed=cal.broker_fixed_cpu,
-            cpu_per_byte=cal.sf_broker_cpu_per_byte,
             copies=1,
         ),
         component="broker",

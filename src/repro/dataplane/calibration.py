@@ -84,11 +84,6 @@ class DataplaneCalibration:
     broker_cpu_per_byte: float = _ms_per_mb(13.0)
     broker_fixed_lat: float = 1e-3
     broker_fixed_cpu: float = 500e-6
-    #: the serverful-microservice broker (Fig. 5 "Microservice") is stateful
-    #: and replicated, hence heavier per byte than the SL broker (Fig. 13
-    #: shows SF-micro costing *more* than SL-B end to end).
-    sf_broker_lat_per_byte: float = _ms_per_mb(9.5)
-    sf_broker_cpu_per_byte: float = _ms_per_mb(16.0)
 
     # --- message queuing on the client→aggregator path (Fig. 13, App. F) ---
     #: broker enqueue/dequeue when broker and aggregator are co-located

@@ -35,10 +35,10 @@ them across **regions** — named cells from a
   (digest bucket addition is exact), and telemetry streams come home
   region-stamped through :func:`~repro.telemetry.bus.merge_streams`.
 
-The geo engine owns no process pool: the region cells fan out through
-:func:`~repro.common.fanout.fan_out` and each replays through
-:func:`~repro.traces.shard.run_cell`, exactly like the sharded engine's
-shards — so geo is "shard by region, then a WAN phase".
+The geo engine owns no process pool: the region cells run through the
+shared cell runner, :func:`~repro.common.fanout.run_cells`, and each
+replays through :func:`~repro.traces.shard.run_cell`, exactly like the
+sharded engine's shards — so geo is "shard by region, then a WAN phase".
 
 With one region there is nothing to couple: no WAN flows, no failover,
 and the single cell's :class:`~repro.traces.replay.ReplayResult` is
@@ -54,10 +54,9 @@ from functools import partial
 from typing import TYPE_CHECKING, Callable
 
 from repro.common.errors import ConfigError
-from repro.common.fanout import fan_out
+from repro.common.fanout import check_cells, run_cells
 from repro.cluster.network import ProcessorSharingLink
 from repro.geo.topology import RegionTopology, validate_geo_faults
-from repro.perf.counters import CounterCarrier, maybe_register
 from repro.sim.engine import Environment, Process
 from repro.telemetry.bus import (
     TelemetryBus,
@@ -236,13 +235,17 @@ def placement_nodes(
 
 
 # ------------------------------------------------------------------ results
-@dataclass
+@dataclass(kw_only=True)
 class RegionReport(ShardReport):
     """One region cell's complete output: a
     :class:`~repro.traces.shard.ShardReport` whose ``shard`` is the
     region's index in the topology, plus the region's name."""
 
-    region: str = ""
+    region: str
+
+    @property
+    def perf_label(self) -> str:
+        return f"region:{self.region}"
 
 
 @dataclass(frozen=True)
@@ -335,10 +338,7 @@ class GeoReplayEngine:
         workers: int | None = None,
         telemetry: TelemetryBus | None = None,
     ) -> None:
-        if not callable(platform_factory):
-            raise ConfigError("platform_factory must be callable")
-        if workers is not None and workers < 1:
-            raise ConfigError(f"workers must be >= 1, got {workers}")
+        check_cells(platform_factory, workers=workers)
         if wan_nbytes is not None and wan_nbytes <= 0:
             raise ConfigError(f"wan_nbytes must be positive, got {wan_nbytes}")
         self.topology = topology
@@ -387,22 +387,14 @@ class GeoReplayEngine:
 
         def replay(task: tuple[int, str, Trace]) -> RegionReport:
             index, region, sub = task
-            rep = run_cell(
-                self.spec,
-                partial(self.platform_factory, region),
-                sub,
-                shard=index,
-                tenants=tuple(sorted({ev.tenant for ev in sub.events})),
-                stream=tel is not None,
-            )
+            tenants = tuple(sorted({ev.tenant for ev in sub.events}))
+            factory = partial(self.platform_factory, region)
+            rep = run_cell(self.spec, factory, sub, index, tenants, tel is not None)
             return RegionReport(region=region, **vars(rep))
 
-        reports, workers = fan_out(
+        reports, workers = run_cells(
             replay, tasks, self.workers, inline, what="geo replay"
         )
-        if workers > 1:
-            for rep in reports:
-                maybe_register(CounterCarrier(f"region:{rep.region}", rep.counters))
         shipments = self._run_wan(reports, route)
         merged = self._merge(reports, shipments)
         self._publish_streams(tel, reports, route, shipments)

@@ -162,8 +162,8 @@ def collect() -> Iterator[PerfCollector]:
 def paused() -> Iterator[None]:
     """Hide every active collector for the body; collectors opened inside
     it still see their own environments.  The fan-out parent runs its
-    share under this, because the engines credit that share through a
-    :class:`CounterCarrier`, as they do for the forked shares."""
+    share under this, because the cell runner credits that share through
+    a :class:`CounterCarrier`, as it does the forked shares."""
     saved = _ACTIVE[:]
     _ACTIVE.clear()
     try:

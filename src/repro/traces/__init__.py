@@ -18,7 +18,7 @@ Three layers turn the one-shot round engine into a *served* system:
 * :mod:`repro.traces.shard` — multi-core sharded replay:
   :class:`ShardedReplayEngine` partitions a replay's tenants across
   forked worker processes (each shard a full serving cell) and merges
-  the per-shard SLO digests and engine counters exactly.
+  the per-shard SLO digests exactly.
 """
 
 from repro.traces.models import (

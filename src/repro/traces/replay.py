@@ -367,9 +367,10 @@ class ReplayResult:
 class ReplaySpec:
     """Everything a replay serves a trace with, apart from the platform.
 
-    The sharded and geo engines hand one spec to every serving cell, and
-    each engine calls :meth:`validate` at construction, so a bad
-    combination fails before any worker forks."""
+    The sharded and geo engines hand one spec to every serving cell.
+    Each engine calls :meth:`validate` once, at construction, so a bad
+    combination fails before any worker forks; the cells do not check it
+    again."""
 
     config: ReplayConfig = field(default_factory=ReplayConfig)
     availability: AvailabilityTrace | None = None
@@ -462,17 +463,9 @@ class TraceReplayEngine:
     ) -> None:
         if platform is None and platform_factory is None:
             raise ConfigError("replay needs a platform or a platform_factory")
-        self.platform = platform
-        #: True when the caller handed us a live platform (vs one built
-        #: lazily from the factory) — sharded runs must refuse it, since
-        #: shards build their own platforms and a differently-configured
-        #: factory would silently diverge from the supplied instance.
-        self._platform_supplied = platform is not None
-        self.platform_factory = platform_factory
-        self.trace = trace
         # Copies of the caller's weights and clients; None stays None, so
         # the selector/clients pairing check sees what was passed.
-        self.spec = ReplaySpec(
+        spec = ReplaySpec(
             config or ReplayConfig(),
             availability,
             dict(weights) if weights is not None else None,
@@ -484,7 +477,27 @@ class TraceReplayEngine:
             controller,
             fault_plan,
         )
-        self.spec.validate()
+        spec.validate()
+        self._bind(platform, platform_factory, trace, spec, telemetry)
+
+    @classmethod
+    def _of_spec(cls, platform, trace, spec, telemetry) -> "TraceReplayEngine":
+        """A replay of ``spec`` as given: a sharded or geo serving cell,
+        whose engine validated the spec once already."""
+        replay = cls.__new__(cls)
+        replay._bind(platform, None, trace, spec, telemetry)
+        return replay
+
+    def _bind(self, platform, platform_factory, trace, spec, telemetry) -> None:
+        self.platform = platform
+        #: True when the caller handed us a live platform (vs one built
+        #: lazily from the factory) — sharded runs must refuse it, since
+        #: shards build their own platforms and a differently-configured
+        #: factory would silently diverge from the supplied instance.
+        self._platform_supplied = platform is not None
+        self.platform_factory = platform_factory
+        self.trace = trace
+        self.spec = spec
         #: the telemetry bus this replay emits into: an explicit argument
         #: wins, else the ambient bus a ``capture()`` block installed, else
         #: None — and a bus nobody subscribed to drops to None at run
@@ -493,7 +506,7 @@ class TraceReplayEngine:
         self.telemetry = telemetry if telemetry is not None else ambient_bus()
         #: one registry per replay: per-round participant streams and the
         #: policies' bound streams all derive from the replay seed
-        self._rngs = RngRegistry(seed)
+        self._rngs = RngRegistry(spec.seed)
         self._selection = resolve_policy(
             "selection", self._selection_name(), self._rngs
         )

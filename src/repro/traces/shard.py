@@ -20,29 +20,19 @@ pool — then folds the per-shard results into one report:
   every seeded draw (participants, chaos victims) keys off
   ``(seed, tenant, round_id)`` — so a shard replays its tenants exactly
   as the unsharded engine would have drawn them.
-* **fork-based execution** — shards run through
-  :func:`~repro.common.fanout.fan_out`, the one fork/merge primitive the
-  partitioned and geo engines share: the calling process replays the
-  first worker's shards itself and forks one process per other worker.
-  The worker count defaults to ``min(shards, available CPUs)`` — a
-  worker granted several shards runs them sequentially, so a single-CPU
-  host degrades to the inline path instead of paying fork-and-timeslice
-  overhead for nothing.
-  Where fork is unavailable (or the caller is already a daemonic pool
-  worker, which cannot fork children), shards likewise run inline; every
-  execution mode returns the shards in shard order and produces
-  byte-identical merged results, which the golden-determinism tests pin.
 * **exact merging** — :meth:`ReplayResult.merge
   <repro.traces.replay.ReplayResult.merge>` folds the shards: per-shard
   :class:`~repro.traces.slo.SloTracker` digests merge by bucket addition
   (exact, see :meth:`LatencyDigest.merge
-  <repro.traces.slo.LatencyDigest.merge>`), outcome tallies sum, round
-  records interleave back into arrival order, and engine counters
-  (:mod:`repro.perf`) are reported per shard and merged.
+  <repro.traces.slo.LatencyDigest.merge>`), outcome tallies sum, and
+  round records interleave back into arrival order.
 
 Each shard is one serving cell replayed by :func:`run_cell` under the
-engine's :class:`~repro.traces.replay.ReplaySpec`; the geo federation
-(:mod:`repro.geo.federation`) reuses it for its region cells.
+engine's :class:`~repro.traces.replay.ReplaySpec`, run through the cell
+runner :func:`~repro.common.fanout.run_cells`; the geo federation
+(:mod:`repro.geo.federation`) reuses :func:`run_cell` for its region
+cells.  Every execution mode produces byte-identical merged results,
+which the golden-determinism tests pin.
 
 The semantic difference from the unsharded replay is placement, not
 randomness: each shard's tenants contend only with each other on their
@@ -53,14 +43,12 @@ single-shard run is byte-identical to ``TraceReplayEngine.run()``.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from dataclasses import field as dataclass_field
 from typing import TYPE_CHECKING, Callable
 
 from repro.common.errors import ConfigError
-from repro.common.fanout import fan_out
-from repro.perf.counters import CounterCarrier, EngineCounters, collect, maybe_register
+from repro.common.fanout import CellReport, balance, check_cells, critical_path_seconds, run_cells
 from repro.telemetry.bus import (
     RecordingSubscriber,
     TelemetryBus,
@@ -126,16 +114,7 @@ def plan_shards(trace: Trace, n_shards: int) -> ShardPlan:
     counts: dict[int, int] = {}
     for ev in trace.events:
         counts[ev.tenant] = counts.get(ev.tenant, 0) + 1
-    if not counts:
-        return ShardPlan(assignments=())
-    n = min(n_shards, len(counts))
-    loads = [0] * n
-    members: list[list[int]] = [[] for _ in range(n)]
-    for tenant in sorted(counts, key=lambda t: (-counts[t], t)):
-        shard = min(range(n), key=lambda i: (loads[i], i))
-        loads[shard] += counts[tenant]
-        members[shard].append(tenant)
-    return ShardPlan(assignments=tuple(tuple(sorted(m)) for m in members))
+    return ShardPlan(assignments=balance(counts, n_shards))
 
 
 def split_trace(trace: Trace, tenants: tuple[int, ...]) -> Trace:
@@ -157,23 +136,21 @@ def split_trace(trace: Trace, tenants: tuple[int, ...]) -> Trace:
     return sub
 
 
-@dataclass
-class ShardReport:
-    """One shard's complete output: its replay result, the engine counters
-    its environment accumulated, and its own wall/CPU self-timing (CPU
-    seconds are immune to timeslicing, so the slowest shard's CPU time is
-    the replay's critical path on an uncontended multi-core host)."""
+@dataclass(kw_only=True)
+class ShardReport(CellReport):
+    """One shard's complete output: the cell runner's measurements plus
+    the shard's tenants and replay result."""
 
-    shard: int
     tenants: tuple[int, ...]
     result: ReplayResult
-    counters: dict[str, int]
-    wall_seconds: float = 0.0
-    cpu_seconds: float = 0.0
     #: the shard's telemetry stream, in its emission order (empty unless
     #: the sharded engine is streaming); records are picklable, so forked
     #: workers ship them home with the rest of the report
     telemetry: list[TelemetryRecord] = dataclass_field(default_factory=list)
+
+    @property
+    def perf_label(self) -> str:
+        return f"shard{self.shard}"
 
 
 @dataclass
@@ -198,17 +175,10 @@ class ShardedReplayResult:
     def row(self) -> dict:
         return self.merged.row()
 
-    def merged_counters(self) -> EngineCounters:
-        snap = EngineCounters()
-        for rep in self.shards:
-            snap.merge_environment(CounterCarrier(f"shard{rep.shard}", rep.counters))
-        return snap
-
     @property
     def critical_path_seconds(self) -> float:
-        """The slowest shard's CPU seconds — the wall-clock floor a host
-        with at least as many free cores as shards can reach."""
-        return max((rep.cpu_seconds for rep in self.shards), default=0.0)
+        """The slowest shard's CPU seconds."""
+        return critical_path_seconds(self.shards)
 
 
 class ShardedReplayEngine:
@@ -233,12 +203,7 @@ class ShardedReplayEngine:
         workers: int | None = None,
         telemetry: TelemetryBus | None = None,
     ) -> None:
-        if not callable(platform_factory):
-            raise ConfigError("platform_factory must be callable")
-        if shards < 1:
-            raise ConfigError(f"shards must be >= 1, got {shards}")
-        if workers is not None and workers < 1:
-            raise ConfigError(f"workers must be >= 1, got {workers}")
+        check_cells(platform_factory, shards, workers)
         spec.validate()
         self.platform_factory = platform_factory
         self.trace = trace
@@ -255,7 +220,7 @@ class ShardedReplayEngine:
 
     # ------------------------------------------------------------------ run
     def run(self, inline: bool = False) -> ShardedReplayResult:
-        """Replay every shard through :func:`~repro.common.fanout.fan_out`
+        """Replay every shard through :func:`~repro.common.fanout.run_cells`
         (``inline=True`` runs them in-process) and merge.
 
         Every mode is byte-identical: the sub-trace split and all seeding
@@ -266,30 +231,16 @@ class ShardedReplayEngine:
         plan = plan_shards(self.trace, self.shards)
         # An empty trace plans no shard; one empty replay keeps the report shape.
         tasks = [
-            (i, split_trace(self.trace, tenants), tenants)
+            (split_trace(self.trace, tenants), i, tenants)
             for i, tenants in enumerate(plan.assignments)
-        ] or [(0, self.trace, ())]
-
-        def replay(task: tuple[int, Trace, tuple[int, ...]]) -> ShardReport:
-            shard, sub, tenants = task
-            return run_cell(
-                self.spec,
-                self.platform_factory,
-                sub,
-                shard=shard,
-                tenants=tenants,
-                stream=tel is not None,
-            )
-
-        reports, workers = fan_out(
-            replay, tasks, self.workers, inline, what="sharded replay"
+        ] or [(self.trace, 0, ())]
+        reports, workers = run_cells(
+            lambda task: run_cell(self.spec, self.platform_factory, *task, tel is not None),
+            tasks,
+            self.workers,
+            inline,
+            what="sharded replay",
         )
-        if workers > 1:
-            # Forked shards' environments lived in the children, and
-            # fan_out hid the parent's own share from collectors; credit
-            # every shard's counters to any active --profile collector here.
-            for rep in reports:
-                maybe_register(CounterCarrier(f"shard{rep.shard}", rep.counters))
         if tel is not None:
             # Fold the shards' recorded streams into arrival order
             # (stamping each record's shard) for the parent's subscribers.
@@ -315,28 +266,22 @@ def run_cell(
     stream: bool = False,
 ) -> ShardReport:
     """Replay one serving cell of ``sub`` under ``spec`` in the current
-    process, collecting counters; the cell builds its own platform from
-    ``platform_factory``.
+    process; the cell builds its own platform from ``platform_factory``.
+    The spec is used as given: the engine that owns it validated it.
+    :func:`~repro.common.fanout.run_cells` runs the cell and fills in the
+    report's counters and self-timing.
 
     The cell always gets its own private bus (never the parent's): with
     ``stream`` it records into a plain list shipped home in the report,
     and without it blocks any ambient bus from reaching the cell's
     replay — the parent owns all subscriber-facing emission.
     """
-    wall0 = time.perf_counter()
-    cpu0 = time.process_time()
     cell_bus = TelemetryBus()
     recorder = RecordingSubscriber(cell_bus) if stream else None
-    with collect() as perf:
-        result = TraceReplayEngine(
-            platform_factory(), sub, telemetry=cell_bus, **vars(spec)
-        ).run()
+    replay = TraceReplayEngine._of_spec(platform_factory(), sub, spec, cell_bus)  # noqa: SLF001
     return ShardReport(
         shard=shard,
         tenants=tenants,
-        result=result,
-        counters=perf.counters().as_dict(),
-        wall_seconds=time.perf_counter() - wall0,
-        cpu_seconds=time.process_time() - cpu0,
+        result=replay.run(),
         telemetry=recorder.records if recorder is not None else [],
     )

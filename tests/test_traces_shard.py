@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from repro.common.errors import ConfigError
-from repro.common.fanout import WorkerError
+from repro.common.fanout import WorkerError, critical_path_seconds
 from repro.core.partition import PartitionedRoundEngine
 from repro.core.platform import AggregationPlatform, PlatformConfig
 from repro.geo import GeoReplayEngine, RegionTopology
@@ -361,21 +361,88 @@ def test_bad_chaos_correlation_fails_at_construction(field, value):
         _sharded(_lifl_platform, **inputs)
 
 
-def test_forked_shards_credit_profile_counters():
-    trace = _three_tenant_trace()
+def _profiled_sharded(inline: bool):
+    result = _engine(_three_tenant_trace(), shards=3, workers=3).run(inline=inline)
+    return result, result.shards
+
+
+def _profiled_geo(inline: bool):
+    result = _geo(lambda region: _lifl_platform()).run(inline=inline)
+    return result, result.regions
+
+
+def _profiled_partitioned(inline: bool):
+    arrivals = [(0.25 * i, 10.0 + i) for i in range(100)]
+    result = PartitionedRoundEngine(_lifl_platform, shards=3, workers=3).run(
+        [arrivals], 1e6, inline=inline
+    )
+    return result, result.cohorts
+
+
+PROFILED = pytest.mark.parametrize(
+    "run, labels",
+    [
+        (_profiled_sharded, ["shard0", "shard1", "shard2"]),
+        (_profiled_geo, ["region:us", "region:eu", "region:ap"]),
+        (_profiled_partitioned, ["cohort0", "cohort1", "cohort2"]),
+    ],
+    ids=["sharded", "geo", "partitioned"],
+)
+
+
+@PROFILED
+def test_forked_cells_credit_profile_counters(run, labels):
     with collect() as perf:
-        result = _engine(trace, shards=3, workers=3).run()
+        result, reports = run(inline=False)
     assert result.forked
     labelled = perf.labelled()
-    assert set(labelled) == {"shard0", "shard1", "shard2"}
-    total = perf.counters()
-    assert total.events_processed == sum(
-        rep.counters["events_processed"] for rep in result.shards
-    )
-    assert total.events_processed > 0
-    merged = result.merged_counters()
-    assert merged.events_processed == total.events_processed
-    assert result.critical_path_seconds > 0.0
+    assert list(labelled) == labels
+    for rep, label in zip(reports, labels):
+        assert rep.perf_label == label
+        assert labelled[label].events_processed == rep.counters["events_processed"]
+        assert labelled[label].heap_pushes == rep.counters["heap_pushes"]
+        assert rep.counters["events_processed"] > 0
+        assert rep.cpu_seconds > 0.0
+    assert critical_path_seconds(reports) > 0.0
+
+
+@PROFILED
+def test_inline_cells_are_counted_once_without_carriers(run, labels):
+    with collect() as forked:
+        _, forked_reports = run(inline=False)
+    with collect() as perf:
+        result, reports = run(inline=True)
+    assert not result.forked
+    assert perf.labelled() == {}
+    cells = sum(rep.counters["events_processed"] for rep in reports)
+    assert cells == sum(rep.counters["events_processed"] for rep in forked_reports)
+    # The parent's own phase (geo's WAN, the cohorts' root) registers its
+    # environments directly in both modes; the sharded engine has none.
+    parent = forked.counters().events_processed - cells
+    assert perf.counters().events_processed == cells + parent
+    if run is _profiled_sharded:
+        assert parent == 0
+
+
+def test_spec_is_validated_once_per_run(monkeypatch):
+    calls = []
+    validate = ReplaySpec.validate
+
+    def counted(spec):
+        calls.append(spec)
+        validate(spec)
+
+    monkeypatch.setattr(ReplaySpec, "validate", counted)
+    trace = _three_tenant_trace()
+    replay = TraceReplayEngine(None, trace, CONFIG, seed=5, platform_factory=_lifl_platform)
+    replay.run(shards=3, inline=True)
+    assert len(calls) <= 2
+    calls.clear()
+    _engine(trace, shards=3).run(inline=True)
+    assert len(calls) == 1
+    calls.clear()
+    _geo(lambda region: _lifl_platform()).run(inline=True)
+    assert len(calls) == 1
 
 
 def test_empty_trace_keeps_report_shape():
