@@ -11,7 +11,7 @@ the byte across sequential and parallel campaign runs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -210,9 +210,6 @@ class FaultPlan:
                     raise ChaosError(
                         f"overlapping partition windows on node {node!r}"
                     )
-
-    def with_seed(self, seed: int) -> "FaultPlan":
-        return replace(self, seed=seed)
 
 
 @dataclass

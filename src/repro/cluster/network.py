@@ -114,10 +114,6 @@ class ProcessorSharingLink:
         """The chaos rescale factor currently applied (1.0 when healthy)."""
         return self._factor
 
-    def utilization_rate(self) -> float:
-        """Current aggregate send rate (bytes/s)."""
-        return self._rate_bps if self._heap else 0.0
-
     def set_rate_factor(self, factor: float) -> None:
         """Rescale the link's effective capacity mid-flow (chaos hook).
 

@@ -1,21 +1,18 @@
-"""Worker node model: cores, memory, and per-component CPU accounting.
+"""Worker node model: hardware spec and per-component CPU accounting.
 
 The paper's evaluation reports cumulative CPU time per system (Figs. 8(b),
 9(b)/(d), 10(c)/(f)).  Reproducing those requires an explicit account of
 *which component* burned CPU: aggregation compute, kernel network
 processing, sidecar mediation, broker hops, gateway payload processing,
-cold-start initialization.  :class:`WorkerNode` tallies each bucket.
+cold-start initialization.  :class:`CpuAccount` tallies each bucket.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Generator
 
 from repro.common.errors import SimulationError
 from repro.common.units import GB
-from repro.sim.engine import Environment, Event
-from repro.sim.resources import Container, Resource
 
 
 @dataclass(frozen=True, slots=True)
@@ -62,61 +59,3 @@ class CpuAccount:
 
     def get(self, component: str) -> float:
         return self.buckets.get(component, 0.0)
-
-
-class WorkerNode:
-    """A simulated worker node: core pool, memory pool, CPU ledger."""
-
-    def __init__(self, env: Environment, spec: NodeSpec) -> None:
-        self.env = env
-        self.spec = spec
-        self.name = spec.name
-        self.cores = Resource(env, capacity=spec.cores)
-        self.memory = Container(env, capacity=spec.memory_bytes, init=spec.memory_bytes)
-        self.cpu = CpuAccount()
-        #: shared-memory object store usage, bytes (tracked for Fig. 13(b))
-        self.shm_bytes_in_use = 0.0
-        self.shm_high_water = 0.0
-
-    # -- CPU --------------------------------------------------------------
-    def execute(self, cpu_seconds: float, component: str) -> Generator[Event, None, None]:
-        """Run a CPU-bound task: hold one core for ``cpu_seconds``.
-
-        Yields from inside a simulation process.  Charges the node's CPU
-        ledger under ``component``.
-        """
-        if cpu_seconds < 0:
-            raise SimulationError(f"negative execution time: {cpu_seconds}")
-        req = self.cores.request()
-        yield req
-        try:
-            yield self.env.timeout(cpu_seconds)
-            self.cpu.charge(component, cpu_seconds)
-        finally:
-            self.cores.release(req)
-
-    def charge_cpu(self, cpu_seconds: float, component: str) -> None:
-        """Account CPU work that does not occupy a core slot exclusively
-        (e.g. kernel softirq processing amortized across cores)."""
-        self.cpu.charge(component, cpu_seconds)
-
-    # -- memory / shared memory -------------------------------------------
-    def shm_alloc(self, nbytes: float) -> None:
-        if nbytes < 0:
-            raise SimulationError("negative shm allocation")
-        if self.shm_bytes_in_use + nbytes > self.spec.memory_bytes:
-            raise SimulationError(
-                f"node {self.name}: shm allocation of {nbytes} exceeds memory"
-            )
-        self.shm_bytes_in_use += nbytes
-        self.shm_high_water = max(self.shm_high_water, self.shm_bytes_in_use)
-
-    def shm_free(self, nbytes: float) -> None:
-        if nbytes < 0 or nbytes > self.shm_bytes_in_use + 1e-6:
-            raise SimulationError(
-                f"node {self.name}: freeing {nbytes} with only {self.shm_bytes_in_use} in use"
-            )
-        self.shm_bytes_in_use -= nbytes
-
-    def __repr__(self) -> str:
-        return f"WorkerNode({self.name!r}, cores={self.spec.cores})"

@@ -8,7 +8,7 @@ clusters roles into a placement-affinity group for locality-aware placement.
 
 The graph is two plain dicts — role attributes and successor adjacency,
 both in insertion order — which is all the structural queries here
-(roots, cycles, reachability) need; the LIFL agent consumes
+(routes, channel lookups) need; the LIFL agent consumes
 :meth:`TagGraph.routes` to program sockmaps and gateway routing tables.
 """
 
@@ -134,19 +134,6 @@ class TagGraph:
                 raise ConfigError(f"{src!r} has multiple outgoing channels; not a tree")
         return out
 
-    def affinity_groups(self) -> dict[str, list[str]]:
-        """groupBy label → roles sharing it (placement affinity, App. D)."""
-        groups: dict[str, list[str]] = {}
-        for src, dst, data in self._channels():
-            label = data["group_by"]
-            if not label:
-                continue
-            bucket = groups.setdefault(label, [])
-            for endpoint in (src, dst):
-                if endpoint not in bucket:
-                    bucket.append(endpoint)
-        return groups
-
     def shared_memory_fraction(self) -> float:
         """Fraction of channels served by shared memory — the quantity
         locality-aware placement maximizes."""
@@ -155,43 +142,6 @@ class TagGraph:
             return 0.0
         shm = sum(1 for *_, d in edges if d["mechanism"] is ChannelMechanism.SHARED_MEMORY)
         return shm / len(edges)
-
-    def validate_single_rooted(self) -> str:
-        """Check the aggregator subgraph is a single-rooted in-tree; returns
-        the root's name."""
-        aggs = set(self.roles("aggregator"))
-        succ = {n: [d for d in self._succ[n] if d in aggs] for n in self._roles if n in aggs}
-        roots = [n for n, out in succ.items() if not out]
-        if len(roots) != 1:
-            raise ConfigError(f"hierarchy must have exactly one root, found {roots}")
-        preds: dict[str, list[str]] = {n: [] for n in succ}
-        for n, out in succ.items():
-            for d in out:
-                preds[d].append(n)
-        # Kahn's algorithm from the sinks: an acyclic graph peels away fully.
-        pending = {n: len(out) for n, out in succ.items()}
-        ready = list(roots)
-        peeled = 0
-        while ready:
-            peeled += 1
-            for p in preds[ready.pop()]:
-                pending[p] -= 1
-                if not pending[p]:
-                    ready.append(p)
-        if peeled != len(succ):
-            raise ConfigError("hierarchy contains a cycle")
-        root = roots[0]
-        reach = {root}
-        frontier = [root]
-        while frontier:
-            for p in preds[frontier.pop()]:
-                if p not in reach:
-                    reach.add(p)
-                    frontier.append(p)
-        for n in succ:
-            if n not in reach:
-                raise ConfigError(f"{n!r} cannot reach the root {root!r}")
-        return root
 
     def __len__(self) -> int:
         return len(self._roles)

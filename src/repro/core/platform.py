@@ -206,7 +206,7 @@ class AggregationPlatform:
         from repro.core.roundsim import RoundEngine  # cycle-free late import
 
         self.config = config
-        self.node_names = node_names or [f"node{i}" for i in range(5)]
+        self.node_names = [f"node{i}" for i in range(5)] if node_names is None else node_names
         self.node_spec = node_spec or NodeSpec(name="template")
         self.cal = cal
         self.placement = resolve_policy("placement", config.placement_policy)

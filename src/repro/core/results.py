@@ -25,10 +25,6 @@ class InstanceStats:
     #: stateless restarts after chaos-injected crashes (§3)
     restarts: int = 0
 
-    @property
-    def active_seconds(self) -> float:
-        return max(0.0, self.finished_at - self.created_at)
-
 
 @dataclass
 class RoundResult:
@@ -73,9 +69,6 @@ class RoundResult:
         """The paper's "cumulative CPU time" for the round: real work plus
         reserved allocation."""
         return self.cpu_work + self.cpu_reserved
-
-    def active_instance_count(self) -> int:
-        return len(self.instances)
 
 
 @dataclass
@@ -132,12 +125,3 @@ class WorkloadResult:
     def accuracy_series(self) -> list[tuple[float, float]]:
         """(wall-clock seconds, accuracy) pairs — Fig. 9(a)/(c)."""
         return [(s.start_time + s.duration, s.accuracy) for s in self.samples]
-
-    def cpu_series(self) -> list[tuple[float, float]]:
-        """(cumulative CPU-seconds, accuracy) pairs — Fig. 9(b)/(d)."""
-        out = []
-        total = 0.0
-        for s in self.samples:
-            total += s.cpu_total
-            out.append((total, s.accuracy))
-        return out

@@ -50,7 +50,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Mapping, Optional, Sequence
 
 from repro.cluster.network import Fabric
-from repro.cluster.node import NodeSpec, WorkerNode
+from repro.cluster.node import CpuAccount, NodeSpec
 from repro.common.errors import ConfigError, SimulationError
 from repro.common.eventlog import EventLog
 from repro.controlplane.hierarchy import HierarchyPlan, Role
@@ -81,7 +81,7 @@ class TenantRound:
     plan: HierarchyPlan
     nbytes: float
     #: CPU ledgers of the nodes this round touches, in fleet order
-    nodes: dict[str, WorkerNode]
+    nodes: dict[str, CpuAccount]
     instances: dict[str, "object"]  # agg_id -> AggregatorInstance
     #: update uid -> its ingress flow (chaos drops clients through these)
     ingress_procs: dict[int, "DeliveryFlow"]
@@ -145,6 +145,9 @@ class RoundEngine:
         self.config = config
         self.cal = cal
         self.node_names = list(node_names)
+        if len(set(self.node_names)) != len(self.node_names):
+            dupes = sorted({n for n in self.node_names if self.node_names.count(n) > 1})
+            raise ConfigError(f"duplicate node names in fleet: {dupes}")
         self.node_spec = node_spec or NodeSpec(name="template")
         #: heterogeneous fleets: per-node NIC capacity overrides (bytes/s);
         #: nodes absent from the map use ``node_spec.nic_bps``
@@ -405,13 +408,7 @@ class RoundEngine:
 
         timeline = EventLog()
         touched = self._touched_nodes(updates, plan, local_nodes, remote_inputs)
-        nodes = {name: WorkerNode(env, NodeSpec(
-            name=name,
-            cores=self.node_spec.cores,
-            memory_bytes=self.node_spec.memory_bytes,
-            nic_bps=self.node_spec.nic_bps,
-            max_service_capacity=self.node_spec.max_service_capacity,
-        )) for name in touched}
+        nodes = {name: CpuAccount() for name in touched}
 
         # -- ingress resources ---------------------------------------------
         ingress_res: dict[str, Resource] = self.ingress.build_resources(
@@ -461,7 +458,7 @@ class RoundEngine:
             t0 = env._now
 
             def done(_event) -> None:
-                nodes[src].cpu.charge("dataplane", costs.intra_cpu)
+                nodes[src].charge("dataplane", costs.intra_cpu)
                 if record is not None:
                     record(child.agg_id, "network", t0, env._now)
                 _deliver(parent, MailboxItem(weight, child.agg_id, True, env._now))
@@ -511,7 +508,7 @@ class RoundEngine:
                 fan_in=spec.fan_in,
                 costs=agg_costs,
                 eager=cfg.eager,
-                charge_cpu=nodes[spec.node].cpu.charge,
+                charge_cpu=nodes[spec.node].charge,
                 on_output=on_output,
                 record=record,
             )
@@ -613,7 +610,7 @@ class RoundEngine:
         record = tenant.record
         if include_eval:
             top_node = plan.top.node
-            nodes[top_node].charge_cpu(self.cal.eval_task_cpu, "eval")
+            nodes[top_node].charge("eval", self.cal.eval_task_cpu)
             if record is not None:
                 record(plan.top.agg_id, "eval", result.act, result.act + self.cal.eval_task_latency)
             result.completion_time = result.act + self.cal.eval_task_latency
@@ -626,7 +623,7 @@ class RoundEngine:
             # Serialized distribution/scale-up overhead (see PlatformConfig).
             if record is not None:
                 record("control", "network", result.completion_time, result.completion_time + chain)
-            nodes[plan.top.node].charge_cpu(chain * cfg.chain_overhead_cores, "chain")
+            nodes[plan.top.node].charge("chain", chain * cfg.chain_overhead_cores)
             result.completion_time += chain
 
         # -- bookkeeping ---------------------------------------------------------------
@@ -638,8 +635,8 @@ class RoundEngine:
             result.instances.append(inst.stats)
         result.aggregators_created = sum(1 for i in result.instances if i.cold_start)
         result.aggregators_reused = sum(1 for i in result.instances if i.reused)
-        for node in nodes.values():
-            for comp, secs in node.cpu.buckets.items():
+        for account in nodes.values():
+            for comp, secs in account.buckets.items():
                 result.cpu_by_component[comp] = result.cpu_by_component.get(comp, 0.0) + secs
         result.cpu_reserved = self._reserved_cpu(result)
         if tenant.chaos_active:
@@ -688,7 +685,7 @@ class _FlowContext:
     env: Environment
     fabric: Fabric
     ingress_res: dict[str, Resource]
-    nodes: dict[str, WorkerNode]
+    nodes: dict[str, CpuAccount]
     costs: _CostTable
     nbytes: float
     record: Optional[Callable[[str, str, float, float], None]]
@@ -817,7 +814,7 @@ class DeliveryFlow:
             src = self.src
             ctx.ingress_res[src].release(self.held)
             self.held = None
-            ctx.nodes[src].cpu.charge("ingress", costs.ingress_cpu)
+            ctx.nodes[src].charge("ingress", costs.ingress_cpu)
             if ctx.record is not None:
                 ctx.record(f"{src}/gw", "network", self.t0, env._now)
             if self.inst.node == src:
@@ -831,7 +828,7 @@ class DeliveryFlow:
             self.t0 = env._now
             self._hop()
         elif pc == _TX:
-            ctx.nodes[self.src].cpu.charge("dataplane", costs.inter_tx_cpu)
+            ctx.nodes[self.src].charge("dataplane", costs.inter_tx_cpu)
             self._await(
                 ctx.fabric.transfer(self.src, self.inst.node, ctx.nbytes, label=self.label),
                 _FABRIC,
@@ -845,7 +842,7 @@ class DeliveryFlow:
             dst = self.inst.node
             ctx.ingress_res[dst].release(self.held)
             self.held = None
-            ctx.nodes[dst].cpu.charge("dataplane", costs.inter_rx_cpu)
+            ctx.nodes[dst].charge("dataplane", costs.inter_rx_cpu)
             if ctx.record is not None:
                 ctx.record(self.label, "network", self.t0, env._now)
             self._deliver()

@@ -71,10 +71,6 @@ class TransferResult:
     cpu_by_group: dict[str, float] = field(default_factory=dict)
     cpu_by_component: dict[str, float] = field(default_factory=dict)
 
-    @property
-    def buffered_bytes(self) -> float:
-        return self.buffer_copies * self.nbytes
-
 
 class Pipeline:
     """An ordered hop sequence with summable costs."""

@@ -106,13 +106,3 @@ def capacity_scenario(run_spec: ScenarioRun) -> list[dict]:
         {"arrival_rate": p.arrival_rate, "mean_exec_time": p.mean_exec_time}
         for p in probe_node()
     ]
-
-
-def main() -> None:
-    from repro.scenarios.runner import run_scenario
-
-    print(run_scenario("capacity").text)
-
-
-if __name__ == "__main__":
-    main()

@@ -152,13 +152,3 @@ def chaos_sweep_scenario(run_spec: ScenarioRun) -> list[dict]:
             seed=run_spec.seed,
         )
     ]
-
-
-def main() -> None:
-    from repro.scenarios.runner import run_scenario
-
-    print(run_scenario("chaos-sweep").text)
-
-
-if __name__ == "__main__":
-    main()

@@ -132,13 +132,3 @@ def fig04_scenario(run_spec: ScenarioRun) -> list[dict]:
     if setting == "WH (LIFL)":
         out["timeline"] = row.result.timeline.render_ascii(width=64)
     return [out]
-
-
-def main() -> None:
-    from repro.scenarios.runner import run_scenario
-
-    print(run_scenario("fig04").text)
-
-
-if __name__ == "__main__":
-    main()

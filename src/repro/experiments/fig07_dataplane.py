@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.common.units import (
-    MB,
     RESNET18_BYTES,
     RESNET34_BYTES,
     RESNET152_BYTES,
@@ -133,13 +132,3 @@ def fig07_scenario(run_spec: ScenarioRun) -> list[dict]:
         }
         for r in run()
     ]
-
-
-def main() -> None:
-    from repro.scenarios.runner import run_scenario
-
-    print(run_scenario("fig07").text)
-
-
-if __name__ == "__main__":
-    main()

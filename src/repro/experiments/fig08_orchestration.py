@@ -147,13 +147,3 @@ def fig08_scenario(run_spec: ScenarioRun) -> list[dict]:
             "nodes_used": row.nodes_used,
         }
     ]
-
-
-def main() -> None:
-    from repro.scenarios.runner import run_scenario
-
-    print(run_scenario("fig08").text)
-
-
-if __name__ == "__main__":
-    main()

@@ -154,13 +154,3 @@ def fig09_scenario(run_spec: ScenarioRun) -> list[dict]:
             "rounds": res.rounds,
         }
     ]
-
-
-def main() -> None:
-    from repro.scenarios.runner import run_scenario
-
-    print(run_scenario("fig09").text)
-
-
-if __name__ == "__main__":
-    main()

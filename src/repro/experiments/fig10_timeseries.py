@@ -120,13 +120,3 @@ def fig10_scenario(run_spec: ScenarioRun) -> list[dict]:
             "cpu_per_round": cpu,
         }
     ]
-
-
-def main() -> None:
-    from repro.scenarios.runner import run_scenario
-
-    print(run_scenario("fig10").text)
-
-
-if __name__ == "__main__":
-    main()

@@ -38,9 +38,6 @@ class Fig13Row:
     memory_copies: int
     delay_s: float
 
-    def normalized_memory(self, baseline_copies: int = 1) -> float:
-        return self.memory_copies / baseline_copies
-
 
 def run(cal: DataplaneCalibration = DEFAULT_CALIBRATION) -> list[Fig13Row]:
     rows = []
@@ -114,13 +111,3 @@ def fig13_scenario(run_spec: ScenarioRun) -> list[dict]:
         }
         for r in run()
     ]
-
-
-def main() -> None:
-    from repro.scenarios.runner import run_scenario
-
-    print(run_scenario("fig13").text)
-
-
-if __name__ == "__main__":
-    main()

@@ -329,15 +329,3 @@ def geo_failover_scenario(run_spec: ScenarioRun) -> list[dict]:
             _shared_seed(run_spec, "failover"),
         )
     ]
-
-
-def main() -> None:
-    from repro.scenarios.runner import run_scenario
-
-    for name in ("geo-follow-the-sun", "geo-partition-failover"):
-        print(run_scenario(name).text)
-        print()
-
-
-if __name__ == "__main__":
-    main()

@@ -113,13 +113,3 @@ def hetero_nic_scenario(run_spec: ScenarioRun) -> list[dict]:
         run_spec.campaign_seed, "hetero-nic", list(PROFILES).index(profile)
     )
     return [run_cell(profile, run_spec.params["system"], seed=seed)]
-
-
-def main() -> None:
-    from repro.scenarios.runner import run_scenario
-
-    print(run_scenario("hetero-nic").text)
-
-
-if __name__ == "__main__":
-    main()

@@ -139,13 +139,3 @@ def mixed_fleet_scenario(run_spec: ScenarioRun) -> list[dict]:
         run_spec.campaign_seed, "mixed-fleet", MOBILE_SHARES.index(share)
     )
     return [run_mix(share, run_spec.params["system"], seed=seed)]
-
-
-def main() -> None:
-    from repro.scenarios.runner import run_scenario
-
-    print(run_scenario("mixed-fleet").text)
-
-
-if __name__ == "__main__":
-    main()

@@ -79,13 +79,3 @@ def overhead_scenario(run_spec: ScenarioRun) -> list[dict]:
         }
         for r in run()
     ]
-
-
-def main() -> None:
-    from repro.scenarios.runner import run_scenario
-
-    print(run_scenario("overhead").text)
-
-
-if __name__ == "__main__":
-    main()

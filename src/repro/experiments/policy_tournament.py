@@ -293,13 +293,3 @@ def policy_tournament_scenario(run_spec: ScenarioRun) -> list[dict]:
         )
     )
     return [run_tournament_cell(workload, run_spec.params["contender"], seed)]
-
-
-def main() -> None:
-    from repro.scenarios.runner import run_scenario
-
-    print(run_scenario("policy-tournament").text)
-
-
-if __name__ == "__main__":
-    main()

@@ -148,13 +148,3 @@ def stress100k_scenario(run_spec: ScenarioRun) -> list[dict]:
     """One (scale, shards) cell; all draws key off the scale, never the
     shard count, so the shard axis must reproduce identical rows."""
     return [run_cell(run_spec.params["scale"], run_spec.params["shards"])]
-
-
-def main() -> None:
-    from repro.scenarios.runner import run_scenario
-
-    print(run_scenario("stress100k").text)
-
-
-if __name__ == "__main__":
-    main()

@@ -98,13 +98,3 @@ def _render(rows: list[dict]) -> str:
 def stress50_scenario(run_spec: ScenarioRun) -> list[dict]:
     """One (system, batch) stress cell; arrivals seeded like Fig. 8."""
     return [run_cell(run_spec.params["system"], run_spec.params["batch"])]
-
-
-def main() -> None:
-    from repro.scenarios.runner import run_scenario
-
-    print(run_scenario("stress50").text)
-
-
-if __name__ == "__main__":
-    main()

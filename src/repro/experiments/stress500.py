@@ -109,13 +109,3 @@ def _render(rows: list[dict]) -> str:
 def stress500_scenario(run_spec: ScenarioRun) -> list[dict]:
     """One (system, tenant-count) cell; arrivals seeded like stress50."""
     return [run_cell(run_spec.params["system"], run_spec.params["tenants"])]
-
-
-def main() -> None:
-    from repro.scenarios.runner import run_scenario
-
-    print(run_scenario("stress500-multitenant").text)
-
-
-if __name__ == "__main__":
-    main()

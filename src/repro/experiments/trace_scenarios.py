@@ -380,15 +380,3 @@ def trace_burst_scenario(run_spec: ScenarioRun) -> list[dict]:
             shards=run_spec.params["shards"],
         )
     ]
-
-
-def main() -> None:
-    from repro.scenarios.runner import run_scenario
-
-    for name in ("trace-poisson-slo", "trace-diurnal-multitenant", "trace-burst-chaos"):
-        print(run_scenario(name).text)
-        print()
-
-
-if __name__ == "__main__":
-    main()

@@ -95,26 +95,3 @@ class FLClient:
         params, _ = self.trainer.train(global_model, self.shard, rng)
         self.rounds_participated += 1
         return ModelUpdate(model=params, weight=float(self.shard.num_samples), producer=self.client_id)
-
-
-def make_client_population(
-    n_clients: int,
-    spec: ModelSpec,
-    hibernate_max: float,
-    rng: np.random.Generator,
-    speed_lognorm_sigma: float = 0.3,
-) -> list[FLClient]:
-    """Generate a heterogeneous timed-client population (ResNet workloads):
-    lognormal speed factors, uniform hibernation behaviour."""
-    if n_clients < 1:
-        raise ConfigError(f"n_clients must be >= 1, got {n_clients}")
-    clients = []
-    speeds = rng.lognormal(mean=0.0, sigma=speed_lognorm_sigma, size=n_clients)
-    for i in range(n_clients):
-        cfg = ClientConfig(
-            client_id=f"client{i:04d}",
-            speed_factor=float(speeds[i]),
-            hibernate_max=hibernate_max,
-        )
-        clients.append(FLClient(cfg, spec))
-    return clients

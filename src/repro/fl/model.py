@@ -1,12 +1,11 @@
 """Model parameter containers and the paper's model specs.
 
 :class:`Model` is a named dict of NumPy arrays with the arithmetic the
-aggregation path needs (weighted accumulate, scale, distance).  For the
+aggregation path needs (weighted accumulate, scale, delta).  For the
 cluster-scale experiments the *contents* of ResNet parameters don't matter —
 only their wire size does — so :class:`ModelSpec` records the byte sizes the
 paper uses (§4.1/§6.1: ResNet-18 ≈ 44 MB, ResNet-34 ≈ 83 MB, ResNet-152 ≈
-232 MB) and can materialize dummy parameter blocks when a real payload is
-required (e.g. the runtime examples).
+232 MB).
 """
 
 from __future__ import annotations
@@ -40,18 +39,6 @@ class ModelSpec:
     def param_count(self) -> int:
         """float32 parameter count implied by the wire size."""
         return int(self.nbytes // 4)
-
-    def dummy_parameters(self, rng: np.random.Generator | None = None, max_bytes: float = 8 * MB) -> "Model":
-        """A real parameter block of (capped) representative size — used by
-        the runtime examples and tests, where moving full 232 MB payloads
-        would only slow the suite without changing behaviour."""
-        nbytes = min(self.nbytes, max_bytes)
-        n = max(1, int(nbytes // 4))
-        if rng is None:
-            data = np.zeros(n, dtype=np.float32)
-        else:
-            data = rng.standard_normal(n).astype(np.float32)
-        return Model({"block": data})
 
 
 _SPECS: dict[str, ModelSpec] = {
@@ -171,15 +158,6 @@ class Model:
         """``self − reference`` (a model *update* relative to the global)."""
         self._check_compatible(reference)
         return Model({k: self._params[k] - reference._params[k] for k in self._params})
-
-    def distance_to(self, other: "Model") -> float:
-        """L2 distance over all parameters (convergence diagnostics)."""
-        self._check_compatible(other)
-        total = 0.0
-        for k in self._params:
-            diff = self._params[k] - other._params[k]
-            total += float(np.dot(diff.ravel(), diff.ravel()))
-        return float(np.sqrt(total))
 
     def allclose(self, other: "Model", rtol: float = 1e-5, atol: float = 1e-7) -> bool:
         self._check_compatible(other)

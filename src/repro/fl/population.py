@@ -47,7 +47,6 @@ import numpy as np
 from repro.common.errors import ConfigError
 from repro.common.rng import RngRegistry, make_rng
 from repro.fl.model import ModelSpec
-from repro.traces.models import AvailabilityTrace
 from repro.workloads.fedscale import MOBILE_PROFILE, PopulationProfile
 
 __all__ = ["ClientPopulation"]
@@ -261,19 +260,6 @@ class ClientPopulation:
         """Refresh the ``state`` and ``next_event_at`` arrays to ``at``."""
         self.state = self.available_mask(at).astype(np.uint8)
         self.next_event_at = self.next_events(at)
-
-    def to_availability_trace(self) -> AvailabilityTrace:
-        """Materialize the CSR windows as a per-id ``AvailabilityTrace``
-        (cross-path tests and small-scale interop; O(n) Python)."""
-        windows: dict[str, tuple[tuple[float, float], ...]] = {}
-        off = self.win_offsets
-        for i in range(self.size):
-            spans = tuple(
-                (float(s), float(e))
-                for s, e in zip(self.win_start[off[i] : off[i + 1]], self.win_end[off[i] : off[i + 1]])
-            )
-            windows[self.client_id(i)] = spans
-        return AvailabilityTrace(horizon=self.horizon, windows=windows)
 
     # ------------------------------------------------------------ timing draws
     def training_durations(self, rng: np.random.Generator, idx: np.ndarray) -> np.ndarray:

@@ -134,12 +134,7 @@ def scenario(
 
     def deco(fn: RunFn) -> RunFn:
         if name in _REGISTRY:
-            # ``python -m repro.experiments.figXX`` imports the package
-            # (which registers the scenario) and then re-executes the same
-            # module as __main__; that re-registration is benign.  Two
-            # different modules claiming one name is a real error.
-            if fn.__module__ != "__main__":
-                raise ConfigError(f"scenario {name!r} already registered")
+            raise ConfigError(f"scenario {name!r} already registered")
         _REGISTRY[name] = ScenarioSpec(
             name=name,
             title=title,

@@ -362,7 +362,7 @@ class CampaignRunner:
 
 def run_scenario(name: str, jobs: int = 1, seed: int = 0) -> ScenarioReport:
     """Convenience: run one scenario through the campaign path and return
-    its report (the per-module ``main()`` entry points use this)."""
+    its report (scripts such as ``examples/custom_scenario.py`` use this)."""
     spec = get_scenario(name)
     campaign = CampaignRunner(jobs=jobs, seed=seed).run([spec])
     return campaign.report_for(name)

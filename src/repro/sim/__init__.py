@@ -11,23 +11,19 @@ kernel, so the control-plane *algorithms* under test are real implementations
 
 from repro.sim.engine import (
     AllOf,
-    AnyOf,
     Environment,
     Event,
     Interrupt,
     Process,
     Timeout,
 )
-from repro.sim.resources import Container, PriorityResource, Resource, Store
+from repro.sim.resources import Resource, Store
 
 __all__ = [
     "AllOf",
-    "AnyOf",
-    "Container",
     "Environment",
     "Event",
     "Interrupt",
-    "PriorityResource",
     "Process",
     "Resource",
     "Store",

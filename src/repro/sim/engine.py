@@ -271,7 +271,6 @@ class Process(Event):
 
     def _step(self, value: Any, throw: bool) -> None:
         env = self.env
-        env._active_process = self
         try:
             if throw:
                 exc = value if isinstance(value, BaseException) else SimulationError(str(value))
@@ -279,18 +278,15 @@ class Process(Event):
             else:
                 target = self._generator.send(value)
         except StopIteration as stop:
-            env._active_process = None
             self._ok = True
             self._value = stop.value
             self._finish()
             return
         except BaseException as exc:  # propagate failure to waiters
-            env._active_process = None
             self._ok = False
             self._value = exc
             self._finish()
             return
-        env._active_process = None
         if not isinstance(target, Event):
             raise SimulationError(f"process {self.name!r} yielded non-event {target!r}")
         if target.env is not env:
@@ -316,8 +312,8 @@ class Process(Event):
             self._target = target
 
 
-class _Condition(Event):
-    """Base for AllOf / AnyOf composite events."""
+class AllOf(Event):
+    """Fires when every child event has fired; value maps event -> value."""
 
     __slots__ = ("events", "_completed")
 
@@ -336,21 +332,6 @@ class _Condition(Event):
             else:
                 ev.callbacks.append(self._on_child)
 
-    def _collect(self) -> dict[Event, Any]:
-        # Only processed events have delivered their value; a triggered but
-        # not-yet-processed event (e.g. a Timeout scheduled for a later
-        # instant) must not leak into an AnyOf result.
-        return {ev: ev._value for ev in self.events if ev._processed}
-
-    def _on_child(self, event: Event) -> None:
-        raise NotImplementedError
-
-
-class AllOf(_Condition):
-    """Fires when every child event has fired; value maps event -> value."""
-
-    __slots__ = ()
-
     def _on_child(self, event: Event) -> None:
         if self._triggered:
             return
@@ -360,22 +341,7 @@ class AllOf(_Condition):
             return
         self._completed += 1
         if self._completed == len(self.events):
-            self.succeed(self._collect())
-
-
-class AnyOf(_Condition):
-    """Fires when the first child event fires."""
-
-    __slots__ = ()
-
-    def _on_child(self, event: Event) -> None:
-        if self._triggered:
-            return
-        if not event._ok:
-            event._defused = True
-            self.fail(event._value)
-            return
-        self.succeed(self._collect())
+            self.succeed({ev: ev._value for ev in self.events if ev._processed})
 
 
 class Environment:
@@ -385,7 +351,6 @@ class Environment:
         "_now",
         "_queue",
         "_eid",
-        "_active_process",
         "dead_timer_skips",
         "timers_cancelled",
         "immediate_reuses",
@@ -396,7 +361,6 @@ class Environment:
         self._now = float(initial_time)
         self._queue: list[tuple[float, int, Event]] = []
         self._eid = 0
-        self._active_process: Optional[Process] = None
         # -- engine telemetry (see repro.perf.counters) -------------------
         # Only counters the hot path cannot derive are maintained as
         # attributes; heap pushes/pops and events processed fall out of
@@ -411,10 +375,6 @@ class Environment:
     @property
     def now(self) -> float:
         return self._now
-
-    @property
-    def active_process(self) -> Optional[Process]:
-        return self._active_process
 
     # -- telemetry (derived; see repro.perf.counters) --------------------
     @property
@@ -443,9 +403,6 @@ class Environment:
 
     def all_of(self, events: Iterable[Event]) -> AllOf:
         return AllOf(self, events)
-
-    def any_of(self, events: Iterable[Event]) -> AnyOf:
-        return AnyOf(self, events)
 
     # -- scheduling ------------------------------------------------------
     def _schedule(self, event: Event, delay: float = 0.0) -> None:

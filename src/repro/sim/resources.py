@@ -1,11 +1,7 @@
 """Shared-resource primitives for the simulation kernel.
 
-* :class:`Resource` — a fixed number of slots with a FIFO wait queue (CPU
-  cores on a worker node, gateway service slots).
-* :class:`PriorityResource` — like :class:`Resource` but waiters carry a
-  priority (used to let control-plane traffic preempt bulk transfers).
-* :class:`Container` — a continuous quantity (shared-memory bytes, NIC
-  bandwidth tokens).
+* :class:`Resource` — a fixed number of slots with a FIFO wait queue
+  (gateway and ingress service slots).
 * :class:`Store` — a FIFO of Python objects (message queues, mailboxes).
 
 All requests are events; processes ``yield`` them.  Releases never block.
@@ -13,7 +9,6 @@ All requests are events; processes ``yield`` them.  Releases never block.
 
 from __future__ import annotations
 
-import heapq
 from collections import deque
 from typing import Any, Optional
 
@@ -82,96 +77,6 @@ class Resource:
             nxt = self._waiting.popleft()
             self._users.add(nxt)
             nxt.succeed()
-
-
-class PriorityRequest(Request):
-    __slots__ = ("priority", "_order")
-
-    def __init__(self, env: Environment, resource: "PriorityResource", priority: float, order: int) -> None:
-        super().__init__(env, resource)
-        self.priority = priority
-        self._order = order
-
-    def __lt__(self, other: "PriorityRequest") -> bool:
-        return (self.priority, self._order) < (other.priority, other._order)
-
-
-class PriorityResource(Resource):
-    """A :class:`Resource` whose waiters are granted lowest-priority-first."""
-
-    def __init__(self, env: Environment, capacity: int = 1) -> None:
-        super().__init__(env, capacity)
-        self._pwaiting: list[PriorityRequest] = []
-        self._order = 0
-
-    @property
-    def queue_length(self) -> int:
-        return len(self._pwaiting)
-
-    def request(self, priority: float = 0.0) -> PriorityRequest:  # type: ignore[override]
-        self._order += 1
-        req = PriorityRequest(self.env, self, priority, self._order)
-        if len(self._users) < self.capacity:
-            self._users.add(req)
-            req.succeed()
-        else:
-            heapq.heappush(self._pwaiting, req)
-        return req
-
-    def release(self, request: Request) -> None:  # type: ignore[override]
-        if request in self._users:
-            self._users.remove(request)
-            self._grant_next()
-        else:
-            try:
-                self._pwaiting.remove(request)  # type: ignore[arg-type]
-                heapq.heapify(self._pwaiting)
-            except ValueError:
-                pass
-
-    def _grant_next(self) -> None:
-        while self._pwaiting and len(self._users) < self.capacity:
-            nxt = heapq.heappop(self._pwaiting)
-            self._users.add(nxt)
-            nxt.succeed()
-
-
-class Container:
-    """A continuous quantity with blocking ``get`` and non-blocking ``put``."""
-
-    def __init__(self, env: Environment, capacity: float = float("inf"), init: float = 0.0) -> None:
-        if init < 0 or init > capacity:
-            raise SimulationError(f"initial level {init} outside [0, {capacity}]")
-        self.env = env
-        self.capacity = capacity
-        self._level = float(init)
-        self._getters: deque[tuple[Event, float]] = deque()
-
-    @property
-    def level(self) -> float:
-        return self._level
-
-    def put(self, amount: float) -> None:
-        if amount < 0:
-            raise SimulationError("cannot put a negative amount")
-        if self._level + amount > self.capacity + 1e-9:
-            raise SimulationError(f"container overflow: {self._level} + {amount} > {self.capacity}")
-        self._level += amount
-        self._drain()
-
-    def get(self, amount: float) -> Event:
-        if amount < 0:
-            raise SimulationError("cannot get a negative amount")
-        ev = Event(self.env)
-        self._getters.append((ev, amount))
-        self._drain()
-        return ev
-
-    def _drain(self) -> None:
-        while self._getters and self._getters[0][1] <= self._level + 1e-12:
-            ev, amount = self._getters.popleft()
-            self._level -= amount
-            ev.succeed(amount)
 
 
 class Store:

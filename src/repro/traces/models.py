@@ -108,16 +108,6 @@ class Trace:
                 )
             seen[ev.tenant] = want + 1
 
-    def rate_per_bucket(self, bucket: float = 60.0) -> list[int]:
-        """Arrival counts per ``bucket`` seconds — the load time series."""
-        if bucket <= 0:
-            raise ConfigError("bucket must be positive")
-        n = max(1, int(math.ceil(self.horizon / bucket)))
-        counts = [0] * n
-        for ev in self.events:
-            counts[min(int(ev.at // bucket), n - 1)] += 1
-        return counts
-
 
 def _finish(events: list[TraceEvent], horizon: float, source: str) -> Trace:
     """Sort, renumber round ids per tenant, and wrap into a Trace."""

@@ -88,15 +88,6 @@ class RoundTrace:
             raise ConfigError(f"goal {goal} outside [1, {len(self.arrivals)}]")
         return self.arrivals[goal - 1].arrival_time
 
-    def rate_per_minute(self, horizon: float, bucket: float = 60.0) -> list[int]:
-        """Arrival counts per bucket — Fig. 10(a)/(d)'s series."""
-        n_buckets = int(np.ceil(horizon / bucket))
-        counts = [0] * max(1, n_buckets)
-        for a in self.arrivals:
-            idx = min(int(a.arrival_time // bucket), len(counts) - 1)
-            counts[idx] += 1
-        return counts
-
 
 def generate_round_trace(
     participants: list[FLClient],

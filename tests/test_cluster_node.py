@@ -1,10 +1,10 @@
-"""Worker nodes: CPU ledger and shm accounting."""
+"""Worker nodes: hardware spec and CPU ledger."""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.cluster.node import CpuAccount, NodeSpec, WorkerNode
+from repro.cluster.node import CpuAccount, NodeSpec
 from repro.common.errors import SimulationError
 
 
@@ -31,33 +31,3 @@ def test_cpu_account_buckets():
     assert acct.total() == pytest.approx(4.0)
     with pytest.raises(SimulationError):
         acct.charge("agg", -1.0)
-
-
-def test_execute_occupies_core_and_charges(env):
-    node = WorkerNode(env, NodeSpec(name="n", cores=1))
-    order = []
-
-    def task(name):
-        yield from node.execute(2.0, "aggregation")
-        order.append((name, env.now))
-
-    env.process(task("a"))
-    env.process(task("b"))
-    env.run()
-    # One core: b runs after a.
-    assert order == [("a", 2.0), ("b", 4.0)]
-    assert node.cpu.get("aggregation") == pytest.approx(4.0)
-
-
-def test_shm_accounting_and_high_water(env):
-    node = WorkerNode(env, NodeSpec(name="n", memory_bytes=100.0))
-    node.shm_alloc(60.0)
-    node.shm_alloc(30.0)
-    assert node.shm_high_water == pytest.approx(90.0)
-    node.shm_free(50.0)
-    assert node.shm_bytes_in_use == pytest.approx(40.0)
-    with pytest.raises(SimulationError):
-        node.shm_alloc(100.0)
-    with pytest.raises(SimulationError):
-        node.shm_free(999.0)
-

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.common.errors import ConfigError
@@ -39,6 +40,16 @@ def test_config_validation():
         PlatformConfig.lifl(updates_per_leaf=0)
     with pytest.raises(ConfigError):
         PlatformConfig.lifl(cold_start_latency=-1.0)
+
+
+def test_fleet_validation():
+    """Only ``None`` means the default fleet; an empty or duplicated fleet
+    is refused at construction, not at the first round."""
+    assert AggregationPlatform(PlatformConfig.lifl()).node_names == [f"node{i}" for i in range(5)]
+    with pytest.raises(ConfigError, match="at least one node"):
+        AggregationPlatform(PlatformConfig.lifl(), node_names=[])
+    with pytest.raises(ConfigError, match=r"duplicate node names in fleet: \['a'\]"):
+        AggregationPlatform(PlatformConfig.lifl(), node_names=["a", "a", "b"])
 
 
 def test_place_updates_respects_policy():
@@ -134,6 +145,6 @@ def test_series_helpers():
     )
     res = run_fl_workload(AggregationPlatform(PlatformConfig.lifl()), pop, wl, make_rng(2, "wl"))
     acc_series = res.accuracy_series()
-    cpu_series = res.cpu_series()
-    assert len(acc_series) == len(cpu_series) == 3
-    assert cpu_series[-1][0] > cpu_series[0][0]  # cumulative CPU grows
+    cumulative_cpu = np.cumsum([s.cpu_total for s in res.samples])
+    assert len(acc_series) == len(cumulative_cpu) == 3
+    assert cumulative_cpu[-1] > cumulative_cpu[0]  # cumulative CPU grows

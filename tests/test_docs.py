@@ -1,7 +1,8 @@
 """The documentation suite stays real: the README's quickstart block is
 extractable (CI executes it verbatim), every file the README links
-exists, every ``python -m repro.…`` module the docs name exists, and the
-scenario-authoring guide's companion example runs.
+exists, every ``python -m repro.…`` module the docs name exists and has
+an entry point, and the scenario-authoring guide's companion example
+runs.
 """
 
 from __future__ import annotations
@@ -48,9 +49,19 @@ def _module_exists(name: str) -> bool:
         return False
 
 
+def _module_runs(name: str) -> bool:
+    """``python -m name`` has an entry point: a package with a ``__main__``
+    submodule, or a module with a ``__main__`` guard."""
+    spec = importlib.util.find_spec(name)
+    if spec.submodule_search_locations is not None:
+        return _module_exists(f"{name}.__main__")
+    with open(spec.origin, encoding="utf-8") as fh:
+        return re.search(r"^if __name__ == [\"']__main__[\"']:", fh.read(), re.M) is not None
+
+
 def test_documented_modules_resolve():
-    """A doc that still runs a deleted module fails here, not in a user's
-    shell."""
+    """A doc that still runs a deleted module, or a module whose entry
+    point was deleted, fails here, not in a user's shell."""
     docs = ["README.md", os.path.join("benchmarks", "README.md")]
     docs += sorted(glob.glob("docs/*.md", root_dir=REPO))
     named = set()
@@ -61,6 +72,8 @@ def test_documented_modules_resolve():
     assert named, "no documented python -m repro... command found"
     missing = sorted((rel, module) for rel, module in named if not _module_exists(module))
     assert not missing, f"docs name modules that do not exist: {missing}"
+    inert = sorted((rel, module) for rel, module in named if not _module_runs(module))
+    assert not inert, f"docs run modules that have no entry point: {inert}"
 
 
 def test_docs_exist_and_anchor_the_new_subsystem():

@@ -7,10 +7,11 @@ import pytest
 
 from repro.common.errors import ConfigError
 from repro.common.rng import make_rng
-from repro.fl.client import ClientConfig, FLClient, make_client_population
+from repro.fl.client import ClientConfig, FLClient
 from repro.fl.convergence import AccuracyCurve, curve_for
-from repro.fl.model import model_spec
+from repro.fl.model import Model, model_spec
 from repro.fl.selector import Selector, SelectorConfig
+from repro.workloads.fedscale import MOBILE_PROFILE, SERVER_PROFILE, make_population
 
 
 def test_client_config_validation():
@@ -44,11 +45,11 @@ def test_hibernation_bounds():
 def test_timed_client_cannot_really_train():
     client = FLClient(ClientConfig("c"), model_spec("resnet152"))
     with pytest.raises(ConfigError):
-        client.train(model_spec("mlp-small").dummy_parameters(), make_rng(0, "x"))
+        client.train(Model({"block": np.zeros(4, dtype=np.float32)}), make_rng(0, "x"))
 
 
 def test_population_heterogeneity():
-    pop = make_client_population(100, model_spec("resnet18"), 60.0, make_rng(2, "pop"))
+    pop = make_population(100, model_spec("resnet18"), MOBILE_PROFILE, seed=2).clients
     speeds = [c.config.speed_factor for c in pop]
     assert len(pop) == 100
     assert max(speeds) / min(speeds) > 2.0
@@ -58,7 +59,7 @@ def test_population_heterogeneity():
 def test_selector_over_provisions():
     sel = Selector(SelectorConfig(aggregation_goal=10, over_provision=1.5))
     assert sel.target_count() == 15
-    pop = make_client_population(50, model_spec("resnet18"), 0.0, make_rng(3, "p"))
+    pop = make_population(50, model_spec("resnet18"), SERVER_PROFILE, seed=3).clients
     chosen = sel.select(pop, make_rng(3, "sel"))
     assert len(chosen) == 15
     assert len({c.client_id for c in chosen}) == 15  # no duplicates
@@ -66,7 +67,7 @@ def test_selector_over_provisions():
 
 def test_selector_handles_small_pool():
     sel = Selector(SelectorConfig(aggregation_goal=10, over_provision=2.0))
-    pop = make_client_population(5, model_spec("resnet18"), 0.0, make_rng(4, "p"))
+    pop = make_population(5, model_spec("resnet18"), SERVER_PROFILE, seed=4).clients
     assert len(sel.select(pop, make_rng(4, "s"))) == 5
 
 

@@ -121,7 +121,11 @@ def test_fedprox_keeps_params_closer_to_global():
     prox = LocalTrainer(mlp, TrainingConfig(epochs=5, learning_rate=0.1, fedprox_mu=1.0))
     t_plain, _ = plain.train(params, shard, rng1)
     t_prox, _ = prox.train(params, shard, rng2)
-    assert t_prox.distance_to(params) < t_plain.distance_to(params)
+
+    def distance(model):
+        return np.sqrt(sum(np.sum(v**2) for _, v in model.delta_from(params).items()))
+
+    assert distance(t_prox) < distance(t_plain)
 
 
 def test_training_config_paper_defaults():

@@ -25,7 +25,7 @@ from repro.common.errors import ConfigError
 from repro.common.rng import make_rng
 from repro.fl.population import ClientPopulation
 from repro.fl.selector import Selector, SelectorConfig
-from repro.traces.models import availability_trace
+from repro.traces.models import AvailabilityTrace, availability_trace
 from repro.workloads.fedscale import MOBILE_PROFILE, SERVER_PROFILE, make_population
 
 
@@ -33,6 +33,17 @@ def _pop_pair(n: int, seed: int, profile=MOBILE_PROFILE, horizon: float = 0.0):
     pop = ClientPopulation.generate(n, profile=profile, seed=seed, horizon=horizon)
     ref = make_population(n, profile=profile, seed=seed)
     return pop, ref
+
+
+def _window_trace(pop: ClientPopulation) -> AvailabilityTrace:
+    """The population's CSR windows as a per-id ``AvailabilityTrace``."""
+    off = pop.win_offsets
+    return AvailabilityTrace(horizon=pop.horizon, windows={
+        pop.client_id(i): tuple(zip(
+            pop.win_start[off[i] : off[i + 1]].tolist(), pop.win_end[off[i] : off[i + 1]].tolist()
+        ))
+        for i in range(pop.size)
+    })
 
 
 # ---- generation parity ----------------------------------------------------
@@ -123,7 +134,7 @@ def test_select_population_matches_select_available(n, goal, seed, diversity) ->
         assert np.array_equal(picked, expect)
         return
     sel = Selector(SelectorConfig(aggregation_goal=goal, over_provision=1.0))
-    trace = pop.to_availability_trace()
+    trace = _window_trace(pop)
     at = 10.0
     r1, r2 = make_rng(seed, "s"), make_rng(seed, "s")
     picked = sel.select_population(pop, r1, pop.available_mask(at))
@@ -150,7 +161,7 @@ def test_select_population_empty_pool_is_unformable_round() -> None:
 )
 def test_available_mask_matches_window_dict(n, seed, at) -> None:
     pop = ClientPopulation.generate(n, seed=seed, horizon=450.0)
-    trace = pop.to_availability_trace()
+    trace = _window_trace(pop)
     expect = np.array([trace.is_available(pop.client_id(i), at) for i in range(n)])
     assert np.array_equal(pop.available_mask(at), expect)
 

@@ -86,6 +86,28 @@ def test_unknown_scenario_raises():
         get_scenario("does-not-exist")
 
 
+def test_registering_an_existing_scenario_name_raises():
+    """A taken name is refused whichever module claims it, ``__main__``
+    included; the catalogue keeps the first registration."""
+    from repro.scenarios import registry
+
+    saved = dict(registry._REGISTRY)
+    original = get_scenario("fig04")
+
+    def impostor(run_spec):
+        return []
+
+    try:
+        for module in (__name__, "__main__"):
+            impostor.__module__ = module
+            with pytest.raises(ConfigError, match="scenario 'fig04' already registered"):
+                registry.scenario("fig04", title="impostor")(impostor)
+        assert get_scenario("fig04") is original
+    finally:
+        registry._REGISTRY.clear()
+        registry._REGISTRY.update(saved)
+
+
 def test_grid_expansion_order_and_seeds():
     spec = get_scenario("fig08")
     runs = spec.expand(campaign_seed=0)

@@ -257,50 +257,6 @@ def test_all_of_waits_for_every_event(env):
     assert done == [(4.0, ["a", "b"])]
 
 
-def test_any_of_fires_on_first(env):
-    t1, t2 = env.timeout(1.0, "fast"), env.timeout(9.0, "slow")
-    done = []
-
-    def waiter():
-        yield env.any_of([t1, t2])
-        done.append(env.now)
-
-    env.process(waiter())
-    env.run()
-    assert done == [1.0]
-
-
-def test_any_of_excludes_pending_values(env):
-    """Regression: a Timeout is *triggered* (scheduled) at construction, but
-    its value must not appear in an AnyOf result until it is processed."""
-    t1, t2 = env.timeout(1.0, "fast"), env.timeout(9.0, "slow")
-    collected = []
-
-    def waiter():
-        results = yield env.any_of([t1, t2])
-        collected.append(results)
-
-    env.process(waiter())
-    env.run()
-    assert collected == [{t1: "fast"}]
-    assert t2 not in collected[0]
-
-
-def test_any_of_includes_simultaneous_events_processed_first(env):
-    """Two events at the same instant: only those already processed when
-    the condition fires are in the result (tie broken by insertion order)."""
-    t1, t2 = env.timeout(1.0, "a"), env.timeout(1.0, "b")
-    collected = []
-
-    def waiter():
-        results = yield env.any_of([t1, t2])
-        collected.append(results)
-
-    env.process(waiter())
-    env.run()
-    assert collected == [{t1: "a"}]
-
-
 def test_run_until_time_stops_clock_exactly(env):
     def p():
         while True:

@@ -1,11 +1,11 @@
-"""Resource, PriorityResource, Container, Store semantics."""
+"""Resource and Store semantics."""
 
 from __future__ import annotations
 
 import pytest
 
 from repro.common.errors import SimulationError
-from repro.sim.resources import Container, PriorityResource, Resource, Store
+from repro.sim.resources import Resource, Store
 
 
 def test_resource_grants_up_to_capacity(env):
@@ -57,55 +57,6 @@ def test_resource_release_of_queued_request_cancels_it(env):
     res.release(queued)  # cancel while waiting
     res.release(held)
     assert res.count == 0
-
-
-def test_priority_resource_orders_by_priority(env):
-    res = PriorityResource(env, capacity=1)
-    granted = []
-
-    def user(name, prio, delay):
-        yield env.timeout(delay)
-        req = res.request(priority=prio)
-        yield req
-        granted.append(name)
-        yield env.timeout(10.0)
-        res.release(req)
-
-    env.process(user("first", 5.0, 0.0))  # takes the slot
-    env.process(user("low", 5.0, 1.0))
-    env.process(user("high", 0.0, 2.0))
-    env.run()
-    assert granted == ["first", "high", "low"]
-
-
-def test_container_get_blocks_until_level(env):
-    tank = Container(env, capacity=100.0, init=0.0)
-    got = []
-
-    def consumer():
-        yield tank.get(30.0)
-        got.append(env.now)
-
-    def producer():
-        yield env.timeout(2.0)
-        tank.put(50.0)
-
-    env.process(consumer())
-    env.process(producer())
-    env.run()
-    assert got == [2.0]
-    assert tank.level == pytest.approx(20.0)
-
-
-def test_container_overflow_rejected(env):
-    tank = Container(env, capacity=10.0, init=5.0)
-    with pytest.raises(SimulationError):
-        tank.put(6.0)
-
-
-def test_container_invalid_init(env):
-    with pytest.raises(SimulationError):
-        Container(env, capacity=1.0, init=2.0)
 
 
 def test_store_fifo_order(env):

@@ -346,6 +346,13 @@ def test_population_replay_matches_client_list_replay():
 
     pop = _population()
     ref = make_population(400, seed=5)
+    off = pop.win_offsets
+    windows = {
+        pop.client_id(i): tuple(zip(
+            pop.win_start[off[i] : off[i + 1]].tolist(), pop.win_end[off[i] : off[i + 1]].tolist()
+        ))
+        for i in range(pop.size)
+    }
     sel = Selector(SelectorConfig(aggregation_goal=12, over_provision=1.0))
     trace = _trace(horizon=120.0)
     cfg = ReplayConfig(round_updates=12, nbytes=RESNET18_BYTES, slo_target_s=15.0)
@@ -356,7 +363,7 @@ def test_population_replay_matches_client_list_replay():
         _platform(),
         trace,
         cfg,
-        availability=pop.to_availability_trace(),
+        availability=AvailabilityTrace(horizon=pop.horizon, windows=windows),
         weights={pop.client_id(i): float(pop.num_samples[i]) for i in range(pop.size)},
         selector=sel,
         clients=ref.clients,

@@ -70,14 +70,6 @@ def test_time_to_goal():
         trace.time_to_goal(0)
 
 
-def test_rate_per_minute_buckets():
-    pop = make_population(30, model_spec("resnet18"), MOBILE_PROFILE, seed=5)
-    trace = generate_round_trace(pop.clients, pop.weights(), make_rng(5, "r"))
-    horizon = trace.arrival_times()[-1] + 1
-    buckets = trace.rate_per_minute(horizon)
-    assert sum(buckets) == 30
-
-
 def test_empty_round_rejected():
     with pytest.raises(ConfigError):
         generate_round_trace([], {}, make_rng(0, "x"))
